@@ -19,6 +19,7 @@ from .graphs import (
 )
 from .spectral import (
     LaplacianSpectrum,
+    algebraic_connectivities,
     algebraic_connectivity,
     eigenvalues_symmetric,
     jacobi_eigensystem,

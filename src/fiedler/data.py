@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, GraphGenConfig, generate_connected_graph, is_connected
-from .spectral import algebraic_connectivity
+from .spectral import algebraic_connectivities
 
 DATASET_MAGIC = "fiedler-dataset"
 DATASET_VERSION = "v1"
@@ -42,11 +42,8 @@ def generate_dataset(cfg: GraphGenConfig, count: int) -> Dataset:
     """``count`` labeled connected graphs, deterministic per cfg."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    items = []
-    for draw_index in range(count):
-        g = generate_connected_graph(cfg, draw_index)
-        items.append((g, algebraic_connectivity(g)))
-    return Dataset(items=items, provenance=cfg)
+    graphs = [generate_connected_graph(cfg, draw_index) for draw_index in range(count)]
+    return Dataset(items=list(zip(graphs, algebraic_connectivities(graphs))), provenance=cfg)
 
 
 def _format_item(g: Graph, label: float) -> str:
@@ -79,9 +76,15 @@ def _parse_item(line: str, path, lineno: int):
             for pair in edge_field.split(","):
                 i, _, j = pair.partition("-")
                 edges.append((int(i), int(j)))
+        g = Graph(n, edges)
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}:{lineno}: malformed dataset line") from exc
-    return Graph(n, edges), label
+        raise ValueError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
+    if edges != g.edge_list():
+        raise ValueError(
+            f"{path}:{lineno}: edges must be distinct i-j pairs with i < j, "
+            "in lexicographic order"
+        )
+    return g, label
 
 
 def load_dataset(path, verify: bool = True) -> Dataset:
@@ -98,20 +101,18 @@ def load_dataset(path, verify: bool = True) -> Dataset:
         count = int(dict(tok.partition("=")[::2] for tok in head[2:])["count"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: header missing count=") from exc
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
         raise ValueError(f"{path}: header says {count} graphs, found {len(body)}")
 
-    items = []
-    for lineno, line in enumerate(body, start=2):
-        g, label = _parse_item(line, path, lineno)
-        if verify:
+    items = [_parse_item(line, path, lineno) for lineno, line in body]
+    if verify:
+        truths = algebraic_connectivities([g for g, _ in items])
+        for (lineno, _), (g, label), truth in zip(body, items, truths):
             if not is_connected(g):
                 raise ValueError(f"{path}:{lineno}: graph is not connected")
-            truth = algebraic_connectivity(g)
-            if abs(truth - label) > LABEL_TOL:
+            if not (abs(truth - label) <= LABEL_TOL):
                 raise ValueError(
                     f"{path}:{lineno}: label {label} disagrees with oracle {truth}"
                 )
-        items.append((g, label))
     return Dataset(items=items, provenance=None)

@@ -64,13 +64,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for i, j in self.edges if v in (i, j))
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
-
 
 @dataclass(frozen=True)
 class GraphGenConfig:
@@ -141,8 +134,23 @@ def generate_connected_graph(cfg: GraphGenConfig, draw_index: int) -> Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian L = D - A (symmetric, rows sum to zero)."""
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a
+    return laplacian_stack([g])[0]
+
+
+def laplacian_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """``(B, n, n)`` Laplacians of B graphs that all have n nodes."""
+    n = graphs[0].n
+    lap = np.zeros((len(graphs), n, n))
+    for b, g in enumerate(graphs):
+        if g.n != n:
+            raise ValueError(f"graph {b} has {g.n} nodes, expected {n}")
+        if g.edges:
+            i, j = np.array(list(g.edges)).T
+            lap[b, i, j] = -1.0
+            lap[b, j, i] = -1.0
+    diagonal = np.arange(n)
+    lap[:, diagonal, diagonal] -= lap.sum(axis=2)
+    return lap
 
 
 def permute(g: Graph, perm: Sequence[int]) -> Graph:

@@ -637,6 +637,13 @@ def save_params(
         fh.write("\n".join(lines) + "\n")
 
 
+def _header_positive_int(path, meta: dict, key: str) -> int:
+    value = meta[key]
+    if not value.isdigit() or int(value) < 1:
+        raise ValueError(f"{path}: header {key}={value} is not an integer >= 1")
+    return int(value)
+
+
 def load_params(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint; returns (params, header metadata)."""
     with open(path, "r", encoding="ascii") as fh:
@@ -654,7 +661,11 @@ def load_params(path) -> tuple[ModelParams, dict]:
         meta[key] = value
     if "H" not in meta:
         raise ValueError(f"{path}: header missing H=")
-    h = int(meta["H"])
+    h = _header_positive_int(path, meta, "H")
+    if "T" in meta:
+        _header_positive_int(path, meta, "T")
+    if meta.get("mode", MODES[0]) not in MODES:
+        raise ValueError(f"{path}: header mode={meta['mode']} is not one of {MODES}")
 
     values: dict[str, np.ndarray] = {}
     pos = 1
@@ -669,8 +680,14 @@ def load_params(path) -> tuple[ModelParams, dict]:
         shape = tuple(int(d) for d in head[2:])
         n_rows = shape[0] if len(shape) == 2 else 1
         data = []
-        for row_line in lines[pos + 1 : pos + 1 + n_rows]:
-            data.append([float(tok) for tok in row_line.split()])
+        for lineno, row_line in enumerate(lines[pos + 1 : pos + 1 + n_rows], start=pos + 2):
+            try:
+                row = [float(tok) for tok in row_line.split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: tensor {name}: {exc}") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}:{lineno}: tensor {name} has a non-finite value")
+            data.append(row)
         arr = np.array(data)
         if len(shape) == 1:
             arr = arr.reshape(shape)

@@ -1,7 +1,21 @@
 """Exact dense symmetric eigensolver and the algebraic-connectivity oracle.
 
-The solver is a cyclic Jacobi iteration written against plain Python floats:
-it is the ground truth every learned estimate is judged against, so it stays
+The solver is the cyclic Jacobi method in row-by-row pair order (Golub &
+Van Loan, *Matrix Computations*, section 8.5), applied to a whole ``(B, n, n)``
+stack of same-size matrices at once: each rotation is a few elementwise
+updates of two rows (and, by symmetry, the same two columns) of every matrix
+in the stack. No operation mixes two matrices, so each matrix goes through
+exactly the arithmetic of solving it alone: a matrix's result is bitwise the
+same whatever else is in the stack, and equal to a scalar loop over the same
+rotations (tests/test_spectral.py keeps one as the reference).
+
+The parallel round-robin ordering of Brent & Luk (1985), n/2 disjoint
+rotations per step, would need fewer steps per sweep, but it rounds
+differently: labels move by up to 1e-13, and training runs amplify such
+changes into different trajectories that can flip the acceptance criteria.
+The row order keeps every label bitwise stable.
+
+It is the ground truth every learned estimate is judged against, so it stays
 self-contained and auditable rather than delegating to a LAPACK binding.
 Intended for matrices up to 64x64; convergence is quadratic, typically well
 under ten sweeps.
@@ -9,16 +23,21 @@ under ten sweeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, laplacian
+from .graphs import Graph, laplacian, laplacian_stack
 
 SYMMETRY_TOL = 1e-12
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
+
+# Graphs per Laplacian stack handed to the solver by algebraic_connectivities.
+# Larger stacks spread the per-rotation call overhead over more graphs; this
+# size bounds a stack of 64-node Laplacians to 16 MiB per copy.
+ORACLE_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -46,81 +65,104 @@ def jacobi_eigensystem(
     off_tol: float = OFF_DIAGONAL_TOL,
     max_sweeps: int = MAX_SWEEPS,
 ):
-    """Eigenvalues (ascending) of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues (ascending) of a symmetric matrix, or of each matrix of a
+    ``(B, n, n)`` stack, by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors) where eigenvectors has the eigenvector
-    for eigenvalues[k] in column k, or None unless ``need_vectors``.
-    Convergence is declared when the Frobenius norm of the off-diagonal part
-    drops to ``off_tol``; raises RuntimeError if ``max_sweeps`` is exhausted.
+    for eigenvalues[..., k] in column k, or None unless ``need_vectors``.
+    A matrix is converged when the Frobenius norm of its off-diagonal part
+    drops to ``off_tol``, and then leaves the stack; raises RuntimeError if
+    any matrix exhausts ``max_sweeps``.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    n = m.shape[0]
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be square or a stack of squares, got shape {m.shape}")
+    n = m.shape[-1]
     if n == 0:
         raise ValueError("matrix must be non-empty")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within 1e-12")
+    stack = m.reshape(-1, n, n)
+    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    if np.any(asym > SYMMETRY_TOL):
+        where = "" if m.ndim == 2 else f" {int(np.argmax(asym > SYMMETRY_TOL))}"
+        raise ValueError(f"matrix{where} is not symmetric within 1e-12")
 
-    a = [[float(m[i, k]) for k in range(n)] for i in range(n)]
-    vec = [[1.0 if i == k else 0.0 for k in range(n)] for i in range(n)] if need_vectors else None
+    count = stack.shape[0]
+    # Batch-last layout: a[i, k] holds entry (i, k) of every active matrix and
+    # vt[p] holds column p of every eigenvector matrix, so that a rotation
+    # reads and writes contiguous rows.
+    a = stack.transpose(1, 2, 0).copy()
+    vt = np.repeat(np.eye(n)[:, :, None], count, axis=2) if need_vectors else None
+    diag = np.empty((count, n))
+    vectors = np.empty((count, n, n)) if need_vectors else None
+    active = np.arange(count)
+    upper = np.triu_indices(n, 1)
+    diagonal = np.arange(n)
     # Once every pair falls below this, the off-diagonal Frobenius norm is
     # guaranteed under off_tol, so a skip-only sweep cannot stall convergence.
     rotate_tol = off_tol / (2.0 * n * n)
 
-    converged = False
     for _ in range(max_sweeps + 1):
-        off_sq = 0.0
-        for p in range(n - 1):
-            row = a[p]
-            for q in range(p + 1, n):
-                off_sq += row[q] * row[q]
-        if math.sqrt(2.0 * off_sq) <= off_tol:
-            converged = True
+        off = a[upper]
+        # cumsum adds the squares one after another in row order, as the
+        # scalar method did; a pairwise sum would round differently.
+        off_sq = np.cumsum(off * off, axis=0)[-1] if n > 1 else np.zeros(active.size)
+        done = np.sqrt(2.0 * off_sq) <= off_tol
+        if done.any():
+            diag[active[done]] = a[diagonal, diagonal][:, done].T
+            if vt is not None:
+                vectors[active[done]] = vt[:, :, done].transpose(2, 1, 0)
+            keep = ~done
+            active, a = active[keep], a[:, :, keep]
+            vt = vt[:, :, keep] if vt is not None else None
+        if active.size == 0:
             break
-
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= rotate_tol:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = 0.0
-                a[q][p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = akp - s * (akq + tau * akp)
-                    a[k][q] = akq + s * (akp - tau * akq)
-                    a[p][k] = a[k][p]
-                    a[q][k] = a[k][q]
-                if vec is not None:
-                    for k in range(n):
-                        vkp, vkq = vec[k][p], vec[k][q]
-                        vec[k][p] = vkp - s * (vkq + tau * vkp)
-                        vec[k][q] = vkq + s * (vkp - tau * vkq)
-
-    if not converged:
+                _rotate(a, vt, p, q, rotate_tol)
+    else:
         raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
-    diag = np.array([a[i][i] for i in range(n)])
-    order = np.argsort(diag, kind="stable")
-    eigenvalues = diag[order]
-    if vec is None:
-        return eigenvalues, None
-    vectors = np.array(vec)[:, order]
+    order = np.argsort(diag, axis=1, kind="stable")
+    eigenvalues = np.take_along_axis(diag, order, axis=1)
+    if vectors is not None:
+        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    if m.ndim == 2:
+        return eigenvalues[0], None if vectors is None else vectors[0]
     return eigenvalues, vectors
+
+
+def _rotate(a, vt, p: int, q: int, rotate_tol: float) -> None:
+    """Apply the (p, q) rotation, in place, to every matrix whose |a[p, q]|
+    exceeds rotate_tol; the other matrices stay bitwise unchanged."""
+    apq = a[p, q]
+    rotate = np.abs(apq) > rotate_tol
+    if not rotate.any():
+        return
+    app, aqq = a[p, p], a[q, q]
+    theta = (aqq - app) / (2.0 * np.where(rotate, apq, 1.0))
+    t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+    t = np.where(theta < 0.0, -t, t)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    tau = s / (1.0 + c)
+
+    # Row p equals column p, so the rotated rows are also the new columns.
+    rp, rq = a[p], a[q]
+    new_p = rp - s * (rq + tau * rp)
+    new_q = rq + s * (rp - tau * rq)
+    new_p[p] = app - t * apq
+    new_q[q] = aqq + t * apq
+    new_p[q] = 0.0
+    new_q[p] = 0.0
+    new_p = np.where(rotate, new_p, rp)
+    new_q = np.where(rotate, new_q, rq)
+    a[p], a[q] = new_p, new_q
+    a[:, p], a[:, q] = new_p, new_q
+    if vt is not None:
+        vp, vq = vt[p], vt[q]
+        new_vp = np.where(rotate, vp - s * (vq + tau * vp), vp)
+        new_vq = np.where(rotate, vq + s * (vp - tau * vq), vq)
+        vt[p], vt[q] = new_vp, new_vq
 
 
 def eigenvalues_symmetric(matrix) -> np.ndarray:
@@ -134,6 +176,25 @@ def laplacian_spectrum(g: Graph) -> LaplacianSpectrum:
     return LaplacianSpectrum(eigenvalues=tuple(ev), lambda2=float(ev[1]))
 
 
+def algebraic_connectivities(graphs: Sequence[Graph]) -> list[float]:
+    """Second-smallest Laplacian eigenvalue of each graph, in input order.
+
+    Graphs are grouped by node count and solved ORACLE_CHUNK at a time; a
+    graph's value does not depend on the others in the call.
+    """
+    labels = [0.0] * len(graphs)
+    by_size: dict[int, list[int]] = {}
+    for index, g in enumerate(graphs):
+        by_size.setdefault(g.n, []).append(index)
+    for indices in by_size.values():
+        for start in range(0, len(indices), ORACLE_CHUNK):
+            chunk = indices[start : start + ORACLE_CHUNK]
+            ev = eigenvalues_symmetric(laplacian_stack([graphs[i] for i in chunk]))
+            for index, value in zip(chunk, ev[:, 1].tolist()):
+                labels[index] = value
+    return labels
+
+
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff g is connected."""
-    return float(eigenvalues_symmetric(laplacian(g))[1])
+    return algebraic_connectivities([g])[0]

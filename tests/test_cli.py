@@ -109,6 +109,24 @@ def test_eval_error_paths(workspace, tmp_path):
                "--hidden", 16) == 1
 
 
+def _nan_first_weight(text):
+    lines = text.splitlines()
+    lines[2] = "nan " + lines[2].split(" ", 1)[1]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text.replace("T=2", "T=0", 1),
+    lambda text: text.replace("mode=local", "mode=bogus", 1),
+    _nan_first_weight,
+], ids=["rounds", "mode", "weight"])
+def test_eval_rejects_malformed_checkpoint(workspace, tmp_path, corrupt):
+    _, _, val_file, run_dir = workspace
+    bad = tmp_path / "bad.txt"
+    bad.write_text(corrupt((run_dir / "checkpoint.txt").read_text()))
+    assert run("eval", "--checkpoint", bad, "--data", val_file) == 2
+
+
 def test_sweep_csv(workspace, tmp_path):
     _, _, _, run_dir = workspace
     out = tmp_path / "sweep.csv"

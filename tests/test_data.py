@@ -79,3 +79,55 @@ def test_load_rejects_malformed_files(tmp_path):
     path.write_text("fiedler-dataset v1 count=2\nn=3 edges=0-1,1-2 lambda2=1.0e+00\n")
     with pytest.raises(ValueError, match="found 1"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_label(tmp_path, small_dataset, bad):
+    path = tmp_path / "data.txt"
+    save_dataset(small_dataset, path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit("lambda2=", 1)[0] + f"lambda2={bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"data\.txt:4: label .* disagrees with oracle"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("edges", ["0-1,0-1,1-2", "1-2,0-1", "1-0,1-2"])
+def test_load_rejects_non_canonical_edges(tmp_path, edges):
+    path = tmp_path / "data.txt"
+    path.write_text(
+        "fiedler-dataset v1 count=2\n"
+        "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n"
+        f"n=3 edges={edges} lambda2=1.000000000000e+00\n"
+    )
+    with pytest.raises(ValueError, match=r"data\.txt:3: edges must be"):
+        load_dataset(path, verify=False)
+
+
+def test_load_reports_graph_errors_with_location(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text(
+        "fiedler-dataset v1 count=2\n"
+        "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n"
+        "\n"
+        "n=3 edges=0-1,1-5 lambda2=1.000000000000e+00\n"
+    )
+    with pytest.raises(ValueError, match=r"data\.txt:4: malformed dataset line: edge"):
+        load_dataset(path)
+
+
+def test_verified_load_reports_the_first_bad_line(tmp_path, small_dataset):
+    # the oracle labels the whole file at once; errors still come in file order
+    good = dataset_text(small_dataset).splitlines()
+    lines = list(good)
+    for index in (7, 20):
+        lines[index] = lines[index].rsplit("lambda2=", 1)[0] + "lambda2=1.0e+03"
+    lines[25] = "n=4 edges=0-1,2-3 lambda2=0.000000000000e+00"  # disconnected
+    path = tmp_path / "data.txt"
+    for fixed, expect in [(None, r"data\.txt:8: label"), (7, r"data\.txt:21: label"),
+                          (20, r"data\.txt:26: graph is not connected")]:
+        if fixed is not None:
+            lines[fixed] = good[fixed]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=expect):
+            load_dataset(path)

@@ -390,3 +390,44 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     clipped.write_text("\n".join(text[: len(text) // 2]) + "\n")
     with pytest.raises(ValueError):
         load_params(clipped)
+
+
+def _corrupt_checkpoint(tmp_path, edit):
+    good = tmp_path / "good.txt"
+    save_params(init_params(4, seed=0), good, mode="local", rounds=2)
+    lines = good.read_text().splitlines()
+    edit(lines)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, token):
+    def edit(lines):
+        row = lines[2].split()
+        row[1] = token
+        lines[2] = " ".join(row)
+
+    bad = _corrupt_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"bad\.txt:3: tensor .* non-finite"):
+        load_params(bad)
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1", "2.5", "x"])
+def test_checkpoint_rejects_bad_rounds(tmp_path, rounds):
+    def edit(lines):
+        lines[0] = lines[0].replace("T=2", f"T={rounds}")
+
+    bad = _corrupt_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"bad\.txt: header T=.* integer >= 1"):
+        load_params(bad)
+
+
+def test_checkpoint_rejects_unknown_mode(tmp_path):
+    def edit(lines):
+        lines[0] = lines[0].replace("mode=local", "mode=central")
+
+    bad = _corrupt_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"bad\.txt: header mode=central"):
+        load_params(bad)

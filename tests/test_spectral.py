@@ -1,12 +1,17 @@
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from fiedler import spectral
 from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph, laplacian
 from fiedler.spectral import (
     LaplacianSpectrum,
+    algebraic_connectivities,
     algebraic_connectivity,
     eigenvalues_symmetric,
     jacobi_eigensystem,
@@ -115,3 +120,122 @@ def test_edge_deletion_never_increases_lambda2():
         drop = tuple(g.edge_list()[rng.integers(len(g.edges))])
         smaller = Graph(g.n, set(g.edges) - {drop})
         assert algebraic_connectivity(smaller) <= base + 1e-9
+
+
+def _mixed_graphs():
+    graphs = [complete_graph(3), path_graph(3)]
+    for n_lo, n_hi, count in [(3, 12, 30), (13, 40, 6)]:
+        cfg = GraphGenConfig(n_range=(n_lo, n_hi), p_range=(0.2, 0.8), seed=n_lo)
+        graphs += [generate_connected_graph(cfg, idx) for idx in range(count)]
+    return graphs
+
+
+def _scalar_jacobi(m, off_tol=1e-12):
+    """One-matrix, pure-Python cyclic Jacobi in the same rotation order: the
+    bitwise reference for the stacked solver's arithmetic."""
+    n = len(m)
+    a = [[float(m[i][k]) for k in range(n)] for i in range(n)]
+    vec = [[1.0 if i == k else 0.0 for k in range(n)] for i in range(n)]
+    rotate_tol = off_tol / (2.0 * n * n)
+    while True:
+        off_sq = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off_sq += a[p][q] * a[p][q]
+        if math.sqrt(2.0 * off_sq) <= off_tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= rotate_tol:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for k in range(n):
+                    if k != p and k != q:
+                        akp, akq = a[k][p], a[k][q]
+                        a[k][p] = a[p][k] = akp - s * (akq + tau * akp)
+                        a[k][q] = a[q][k] = akq + s * (akp - tau * akq)
+                    vkp, vkq = vec[k][p], vec[k][q]
+                    vec[k][p] = vkp - s * (vkq + tau * vkp)
+                    vec[k][q] = vkq + s * (vkp - tau * vkq)
+    diag = np.array([a[i][i] for i in range(n)])
+    order = np.argsort(diag, kind="stable")
+    return diag[order], np.array(vec)[:, order]
+
+
+def test_stacked_solver_is_bitwise_equal_to_scalar_reference():
+    rng = np.random.default_rng(71)
+    mats = [laplacian(g) for g in _mixed_graphs()[::4]]
+    for n in (1, 2, 5, 9):
+        raw = rng.normal(size=(3, n, n))
+        mats += list((raw + raw.transpose(0, 2, 1)) / 2.0)
+    for mat in mats:
+        ev, vec = jacobi_eigensystem(mat, need_vectors=True)
+        ref_ev, ref_vec = _scalar_jacobi(mat)
+        assert np.array_equal(ev, ref_ev)
+        assert np.array_equal(vec, ref_vec)
+
+
+def test_stacked_oracle_is_bitwise_equal_to_single_calls(monkeypatch):
+    graphs = _mixed_graphs()
+    single = [algebraic_connectivity(g) for g in graphs]
+    assert algebraic_connectivities(graphs) == single
+    assert algebraic_connectivities(graphs[::-1]) == single[::-1]
+    monkeypatch.setattr(spectral, "ORACLE_CHUNK", 3)  # chunk boundaries inside each size
+    assert algebraic_connectivities(graphs) == single
+
+
+def test_stack_call_matches_per_matrix_calls():
+    cfg = GraphGenConfig(n_range=(7, 7), p_range=(0.3, 0.9), seed=61)
+    laps = np.stack([laplacian(generate_connected_graph(cfg, idx)) for idx in range(9)])
+    ev, vec = jacobi_eigensystem(laps, need_vectors=True)
+    assert ev.shape == (9, 7) and vec.shape == (9, 7, 7)
+    for lap, ev_one, vec_one in zip(laps, ev, vec):
+        ev_single, vec_single = jacobi_eigensystem(lap, need_vectors=True)
+        assert np.array_equal(ev_one, ev_single)
+        assert np.array_equal(vec_one, vec_single)
+    with pytest.raises(ValueError, match="matrix 1 is not symmetric"):
+        jacobi_eigensystem(np.stack([np.eye(2), [[0.0, 1.0], [0.5, 0.0]]]))
+
+
+@pytest.mark.parametrize("n_range, count, tol", [((9, 11), 300, 1e-12), ((12, 64), 16, 1e-11)])
+def test_oracle_agrees_with_lapack_on_generated_graphs(n_range, count, tol):
+    cfg = GraphGenConfig(n_range=n_range, p_range=(0.16, 0.95), seed=67)
+    graphs = [generate_connected_graph(cfg, idx) for idx in range(count)]
+    ours = algebraic_connectivities(graphs)
+    for g, value in zip(graphs, ours):
+        assert abs(value - np.linalg.eigvalsh(laplacian(g))[1]) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(
+        lambda size: hnp.arrays(
+            np.float64, (size[0], size[1], size[1]),
+            elements=st.floats(-100.0, 100.0, allow_subnormal=False),
+        )
+    )
+)
+def test_random_symmetric_stacks_match_lapack(raw):
+    stack = (raw + raw.transpose(0, 2, 1)) / 2.0
+    ours = eigenvalues_symmetric(stack)
+    ref = np.linalg.eigvalsh(stack)
+    scale = max(1.0, float(np.abs(stack).max()))
+    assert np.max(np.abs(ours - ref)) <= 1e-12 * scale * stack.shape[1]
+
+
+def test_solver_leaves_its_input_unchanged():
+    lap = laplacian(complete_graph(4))
+    for matrix in (lap, lap[None]):
+        before = matrix.copy()
+        jacobi_eigensystem(matrix, need_vectors=True)
+        assert np.array_equal(matrix, before)
