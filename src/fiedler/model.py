@@ -15,8 +15,10 @@ single-graph API is a stack of size one.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +55,13 @@ class GruParams:
 
 @dataclass
 class ReadoutParams:
-    """Single-hidden-layer MLP with ReLU hidden activation and scalar output."""
+    """Single-hidden-layer MLP with ReLU hidden activation and scalar output;
+    ``b2`` is a float, or a shape-(1,) view in parameters built from a vector."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
-    b2: float
+    b2: float | np.ndarray
 
 
 @dataclass
@@ -96,83 +99,66 @@ _TENSOR_SPECS = (
 )
 
 
-def _tensor_shape(kind: str, h: int) -> tuple[int, ...]:
-    return {"hh": (h, h), "h": (h,), "scalar": (1,)}[kind]
+@functools.lru_cache(maxsize=None)
+def _layout(hidden_size: int) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+    """(name, slice of the flat vector, shape) per tensor, in canonical order."""
+    shapes = {"hh": (hidden_size, hidden_size), "h": (hidden_size,), "scalar": (1,)}
+    out, pos = [], 0
+    for name, kind in _TENSOR_SPECS:
+        size = math.prod(shapes[kind])
+        out.append((name, slice(pos, pos + size), shapes[kind]))
+        pos += size
+    return tuple(out)
 
 
 def param_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """(name, array) pairs in canonical order; scalars appear as 1-vectors."""
-    out = []
-    for name, _ in _TENSOR_SPECS:
-        obj = params
-        *path, leaf = name.split(".")
-        for part in path:
-            obj = getattr(obj, part)
-        value = getattr(obj, leaf)
-        out.append((name, np.atleast_1d(np.asarray(value, dtype=float))))
-    return out
+    return [
+        (name, np.atleast_1d(np.asarray(attrgetter(name)(params), dtype=float)))
+        for name, _ in _TENSOR_SPECS
+    ]
 
 
 def param_count(hidden_size: int) -> int:
-    return sum(
-        int(np.prod(_tensor_shape(kind, hidden_size))) for _, kind in _TENSOR_SPECS
-    )
+    return _layout(hidden_size)[-1][1].stop
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:
     return np.concatenate([arr.ravel() for _, arr in param_tensors(params)])
 
 
-def unflatten_params(vec: np.ndarray, hidden_size: int) -> ModelParams:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (param_count(hidden_size),):
+def param_views(vec: np.ndarray, hidden_size: int) -> ModelParams:
+    """Parameters whose tensors, ``b2`` included, are views into ``vec``.
+
+    Writing a coordinate of the float64 vector ``vec`` changes the parameters
+    and the other way round; the tensors follow the canonical order.
+    """
+    if vec.dtype != np.float64 or vec.shape != (param_count(hidden_size),):
         raise ValueError(
-            f"expected {param_count(hidden_size)} coordinates for H={hidden_size}, "
-            f"got shape {vec.shape}"
+            f"expected {param_count(hidden_size)} float64 coordinates for "
+            f"H={hidden_size}, got {vec.dtype} shape {vec.shape}"
         )
-    values: dict[str, np.ndarray] = {}
-    pos = 0
-    for name, kind in _TENSOR_SPECS:
-        shape = _tensor_shape(kind, hidden_size)
-        size = int(np.prod(shape))
-        values[name] = vec[pos : pos + size].reshape(shape).copy()
-        pos += size
-    return _assemble_params(hidden_size, values)
+    v = {name: vec[sl].reshape(shape) for name, sl, shape in _layout(hidden_size)}
 
+    def group(cls, prefix: str):
+        return cls(**{f.name: v[f"{prefix}.{f.name}"] for f in fields(cls)})
 
-def _assemble_params(hidden_size: int, values: dict[str, np.ndarray]) -> ModelParams:
-    def readout(prefix: str) -> ReadoutParams:
-        return ReadoutParams(
-            w1=values[f"{prefix}.w1"],
-            b1=values[f"{prefix}.b1"],
-            w2=values[f"{prefix}.w2"],
-            b2=float(values[f"{prefix}.b2"][0]),
-        )
-
-    gru = GruParams(
-        w_z=values["gru.w_z"],
-        w_r=values["gru.w_r"],
-        w_c=values["gru.w_c"],
-        u_z=values["gru.u_z"],
-        u_r=values["gru.u_r"],
-        u_c=values["gru.u_c"],
-        b_z=values["gru.b_z"],
-        b_r=values["gru.b_r"],
-        b_c=values["gru.b_c"],
-    )
     return ModelParams(
         hidden_size=hidden_size,
-        w_msg=values["w_msg"],
-        gru=gru,
-        readout_local=readout("readout_local"),
-        readout_global=readout("readout_global"),
+        w_msg=v["w_msg"],
+        gru=group(GruParams, "gru"),
+        readout_local=group(ReadoutParams, "readout_local"),
+        readout_global=group(ReadoutParams, "readout_global"),
     )
+
+
+def unflatten_params(vec: np.ndarray, hidden_size: int) -> ModelParams:
+    """Parameters holding a copy of ``vec``: they never alias the caller's array."""
+    return param_views(np.array(vec, dtype=float), hidden_size)
 
 
 def zeros_like_params(params: ModelParams) -> Gradients:
-    return unflatten_params(
-        np.zeros(param_count(params.hidden_size)), params.hidden_size
-    )
+    return param_views(np.zeros(param_count(params.hidden_size)), params.hidden_size)
 
 
 def init_params(hidden_size: int, seed: int) -> ModelParams:
@@ -567,6 +553,9 @@ def grad_check(
     Checks every coordinate by default; ``sample`` limits the check to a seeded
     random subset (never fewer than 500 coordinates). ``corrupt`` deliberately
     damages one analytic gradient entry, for validating the detector itself.
+
+    Each coordinate is perturbed in place in a private flat copy of ``params``
+    that one set of probe parameters views; ``params`` itself is never written.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -591,14 +580,14 @@ def grad_check(
         analytic = analytic.copy()
         analytic[coords[0]] += 1.0
 
-    h = params.hidden_size
+    probe = param_views(theta, params.hidden_size)
     worst = 0.0
     for idx in coords:
         saved = theta[idx]
         theta[idx] = saved + epsilon
-        loss_plus = stack_loss(unflatten_params(theta, h), stack, targets, rounds, mode)
+        loss_plus = stack_loss(probe, stack, targets, rounds, mode)
         theta[idx] = saved - epsilon
-        loss_minus = stack_loss(unflatten_params(theta, h), stack, targets, rounds, mode)
+        loss_minus = stack_loss(probe, stack, targets, rounds, mode)
         theta[idx] = saved
         numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
         a = analytic[idx]
@@ -667,42 +656,52 @@ def load_params(path) -> tuple[ModelParams, dict]:
     if meta.get("mode", MODES[0]) not in MODES:
         raise ValueError(f"{path}: header mode={meta['mode']} is not one of {MODES}")
 
-    values: dict[str, np.ndarray] = {}
+    layout = {name: (sl, shape) for name, sl, shape in _layout(h)}
+    vec = np.empty(param_count(h))
+    seen: set[str] = set()
     pos = 1
     while pos < len(lines):
         if not lines[pos].strip():
             pos += 1
             continue
+        where = f"{path}:{pos + 1}"
         head = lines[pos].split()
-        if head[0] != "tensor":
-            raise ValueError(f"{path}: expected tensor header, got {lines[pos]!r}")
+        if head[0] != "tensor" or len(head) < 3:
+            raise ValueError(
+                f"{where}: expected 'tensor <name> <shape>', got {lines[pos]!r}"
+            )
         name = head[1]
-        shape = tuple(int(d) for d in head[2:])
-        n_rows = shape[0] if len(shape) == 2 else 1
+        if name not in layout:
+            raise ValueError(f"{where}: unknown tensor {name}")
+        if name in seen:
+            raise ValueError(f"{where}: duplicate tensor {name}")
+        seen.add(name)
+        sl, shape = layout[name]
+        got, want = " ".join(head[2:]), " ".join(map(str, shape))
+        if got != want:
+            raise ValueError(f"{where}: tensor {name} has shape {got}, expected {want}")
+        n_rows, width = shape if len(shape) == 2 else (1, shape[0])
+        rows = lines[pos + 1 : pos + 1 + n_rows]
+        if len(rows) < n_rows:
+            raise ValueError(f"{where}: tensor {name} has {len(rows)} of {n_rows} rows")
         data = []
-        for lineno, row_line in enumerate(lines[pos + 1 : pos + 1 + n_rows], start=pos + 2):
+        for lineno, row_line in enumerate(rows, start=pos + 2):
             try:
                 row = [float(tok) for tok in row_line.split()]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: tensor {name}: {exc}") from exc
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}:{lineno}: tensor {name} row has {len(row)} values, "
+                    f"expected {width}"
+                )
             if not all(math.isfinite(v) for v in row):
                 raise ValueError(f"{path}:{lineno}: tensor {name} has a non-finite value")
-            data.append(row)
-        arr = np.array(data)
-        if len(shape) == 1:
-            arr = arr.reshape(shape)
-        if arr.shape != shape:
-            raise ValueError(f"{path}: tensor {name} shape mismatch")
-        values[name] = arr
+            data.extend(row)
+        vec[sl] = data
         pos += 1 + n_rows
 
-    for name, kind in _TENSOR_SPECS:
-        expect = _tensor_shape(kind, h)
-        if name not in values:
+    for name in layout:
+        if name not in seen:
             raise ValueError(f"{path}: missing tensor {name}")
-        if values[name].shape != expect:
-            raise ValueError(
-                f"{path}: tensor {name} has shape {values[name].shape}, expected {expect}"
-            )
-    params = _assemble_params(h, values)
-    return params, meta
+    return param_views(vec, h), meta

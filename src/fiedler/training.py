@@ -26,9 +26,9 @@ from .model import (
     forward_stack,
     init_params,
     param_count,
+    param_views,
     save_params,
     stack_losses,
-    unflatten_params,
 )
 
 EVAL_CHUNK = 512
@@ -152,7 +152,8 @@ def adam_step(
     m_hat = m / (1.0 - beta1 ** step)
     v_hat = v / (1.0 - beta2 ** step)
     theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-    return unflatten_params(theta, params.hidden_size), AdamState(m=m, v=v, step=step)
+    # theta is a fresh array, so the new params may view it without aliasing the inputs
+    return param_views(theta, params.hidden_size), AdamState(m=m, v=v, step=step)
 
 
 def l1_error(estimates, lambda2: float) -> float:

@@ -127,6 +127,21 @@ def test_eval_rejects_malformed_checkpoint(workspace, tmp_path, corrupt):
     assert run("eval", "--checkpoint", bad, "--data", val_file) == 2
 
 
+@pytest.mark.parametrize("block", [
+    "tensor bogus 1\n0\n",
+    "tensor w_msg 2 2\n1 2\n3 4\n",
+    "tensor\n",
+], ids=["unknown", "duplicate", "lone-header"])
+def test_eval_rejects_bad_tensor_block(workspace, tmp_path, capsys, block):
+    _, _, val_file, run_dir = workspace
+    bad = tmp_path / "bad.txt"
+    text = (run_dir / "checkpoint.txt").read_text()
+    bad.write_text(text + block)
+    assert run("eval", "--checkpoint", bad, "--data", val_file) == 2
+    line = text.count("\n") + 1
+    assert f"bad.txt:{line}: " in capsys.readouterr().err
+
+
 def test_sweep_csv(workspace, tmp_path):
     _, _, _, run_dir = workspace
     out = tmp_path / "sweep.csv"

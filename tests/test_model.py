@@ -1,9 +1,13 @@
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import complete_graph, cycle_graph, path_graph
+from fiedler.cli import GRADCHECK_INSTANCES
 from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph, permute
 from fiedler.model import (
     ModelParams,
@@ -23,9 +27,11 @@ from fiedler.model import (
     readout_global,
     readout_local,
     save_params,
+    stack_loss,
     unflatten_params,
     zeros_like_params,
 )
+from fiedler.spectral import algebraic_connectivity
 
 
 def rand_graph(seed, n_lo=5, n_hi=9):
@@ -66,6 +72,47 @@ def test_flatten_unflatten_round_trip():
     assert np.array_equal(flatten_params(q), vec)
     with pytest.raises(ValueError):
         unflatten_params(vec[:-1], 6)
+
+
+def _flat_vectors(h_max=6):
+    """(H, finite float64 vector of that H's length) pairs, H in 1..h_max."""
+    return st.integers(1, h_max).flatmap(
+        lambda h: st.tuples(
+            st.just(h),
+            hnp.arrays(np.float64, param_count(h),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)),
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_vectors())
+def test_unflatten_round_trip_is_bitwise_and_copies(case):
+    h, vec = case
+    original = vec.copy()
+    p = unflatten_params(vec, h)
+    assert flatten_params(p).tobytes() == vec.tobytes()
+    vec[:] = 7.0
+    assert flatten_params(p).tobytes() == original.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_flat_vectors(), st.booleans())
+def test_checkpoint_round_trip_is_bit_exact_for_any_vector(tmp_path_factory, case,
+                                                           b2_float):
+    h, vec = case
+    p = unflatten_params(vec, h)
+    assert p.readout_local.b2.shape == (1,)
+    if b2_float:  # as init_params holds it
+        p.readout_local.b2 = float(p.readout_local.b2[0])
+        p.readout_global.b2 = float(p.readout_global.b2[0])
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.txt"
+    save_params(p, path)
+    loaded, _ = load_params(path)
+    assert flatten_params(loaded).tobytes() == vec.tobytes()
+    again = path.with_name("again.txt")
+    save_params(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_initial_state_rows_are_e1():
@@ -352,6 +399,72 @@ def test_grad_check_zero_error_instance_uses_floor():
     assert grad_check(p, g, 2, "global", target=est) <= 1e-2
 
 
+def _grad_check_copying(params, g, rounds, mode, epsilon=1e-5, target=None,
+                        sample=None, sample_seed=0, corrupt=False):
+    """Reference: the loop grad_check had before it perturbed views, building two
+    fresh ModelParams (copied tensors, float b2) per coordinate."""
+    if target is None:
+        target = algebraic_connectivity(g)
+    stack = build_stack([g])
+    targets = np.array([float(target)])
+    _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
+    _, grads = backward_stack(params, cache, targets)
+    analytic = flatten_params(grads)
+    theta = flatten_params(params)
+    total = theta.size
+    if sample is None or max(sample, 500) >= total:
+        coords = np.arange(total)
+    else:
+        rng = np.random.default_rng(sample_seed)
+        coords = np.sort(rng.choice(total, size=max(sample, 500), replace=False))
+    if corrupt:
+        analytic = analytic.copy()
+        analytic[coords[0]] += 1.0
+
+    def copied():
+        q = unflatten_params(theta, params.hidden_size)
+        q.readout_local.b2 = float(q.readout_local.b2[0])
+        q.readout_global.b2 = float(q.readout_global.b2[0])
+        return q
+
+    worst = 0.0
+    for idx in coords:
+        saved = theta[idx]
+        theta[idx] = saved + epsilon
+        loss_plus = stack_loss(copied(), stack, targets, rounds, mode)
+        theta[idx] = saved - epsilon
+        loss_minus = stack_loss(copied(), stack, targets, rounds, mode)
+        theta[idx] = saved
+        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+        a = analytic[idx]
+        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        if rel > worst:
+            worst = rel
+    return worst
+
+
+@pytest.mark.parametrize("mode, index, kwargs", [
+    ("local", 0, {}),
+    ("local", 3, {"sample": 500, "sample_seed": 7}),
+    ("local", 5, {"corrupt": True}),
+    ("global", 1, {}),
+    ("global", 4, {"sample": 500, "sample_seed": 2, "corrupt": True}),
+])
+def test_grad_check_is_bitwise_equal_to_copying_reference(mode, index, kwargs):
+    n, rounds, graph_seed, param_seed = GRADCHECK_INSTANCES[mode][index]
+    cfg = GraphGenConfig(n_range=(n, n), p_range=(0.5, 0.9), seed=graph_seed)
+    g = generate_connected_graph(cfg, 0)
+    p = init_params(8, seed=param_seed)
+    before = flatten_params(p).tobytes()
+    got = grad_check(p, g, rounds, mode, **kwargs)
+    assert flatten_params(p).tobytes() == before
+    # the probe starts from views of its own vector, so views as params also stay put
+    q = unflatten_params(flatten_params(p), 8)
+    assert grad_check(q, g, rounds, mode, **kwargs) == got
+    assert flatten_params(q).tobytes() == before
+    assert got.hex() == _grad_check_copying(p, g, rounds, mode, **kwargs).hex()
+
+
 def test_grad_check_epsilon_validation():
     p = init_params(4, seed=0)
     with pytest.raises(ValueError):
@@ -430,4 +543,30 @@ def test_checkpoint_rejects_unknown_mode(tmp_path):
 
     bad = _corrupt_checkpoint(tmp_path, edit)
     with pytest.raises(ValueError, match=r"bad\.txt: header mode=central"):
+        load_params(bad)
+
+
+_TAIL = 65  # line number of a block appended to an H=4 checkpoint
+
+
+@pytest.mark.parametrize("edit, where, message", [
+    (lambda lines: lines.extend(["tensor bogus 1", "0"]), _TAIL, "unknown tensor bogus"),
+    (lambda lines: lines.extend(["tensor w_msg 2 2", "1 2", "3 4"]), _TAIL,
+     "duplicate tensor w_msg"),
+    (lambda lines: lines.append("tensor"), _TAIL, "expected 'tensor <name> <shape>'"),
+    (lambda lines: lines.append("weights 1 2"), _TAIL, "expected 'tensor <name> <shape>'"),
+    (lambda lines: lines.__setitem__(1, "tensor w_msg 2 x"), 2,
+     "tensor w_msg has shape 2 x, expected 4 4"),
+    (lambda lines: lines.__setitem__(1, "tensor w_msg 4 3"), 2,
+     "tensor w_msg has shape 4 3, expected 4 4"),
+    (lambda lines: lines.__setitem__(2, lines[2].rsplit(" ", 1)[0]), 3,
+     "tensor w_msg row has 3 values, expected 4"),
+    (lambda lines: lines.__setitem__(2, lines[2] + " 0.5"), 3,
+     "tensor w_msg row has 5 values, expected 4"),
+    (lambda lines: lines.pop(), _TAIL - 2, "tensor readout_global.b2 has 0 of 1 rows"),
+], ids=["unknown", "duplicate", "lone-header", "not-a-header", "shape-not-int",
+        "shape-wrong", "row-short", "row-long", "rows-missing"])
+def test_checkpoint_rejects_bad_tensor_blocks(tmp_path, edit, where, message):
+    bad = _corrupt_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"bad\.txt:{where}: {message}"):
         load_params(bad)
