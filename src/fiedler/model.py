@@ -10,7 +10,10 @@ reverse pass is written out by hand so it can be checked against finite
 differences coordinate by coordinate.
 
 Any number of graphs can be processed as one block-diagonal stack; the public
-single-graph API is a stack of size one.
+single-graph API is a stack of size one. The stack's adjacency is built from
+all edges at once, and the GRU rounds run in reused buffers (fresh ones per
+round only for the arrays a cache keeps), in the formulas' operation order, so
+every value is bitwise that of plain allocating numpy expressions.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter
 from typing import Sequence
 
@@ -235,18 +239,22 @@ def build_stack(graphs: Sequence[Graph]) -> GraphStack:
     offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
-    rows: list[int] = []
-    cols: list[int] = []
-    for g, base in zip(graphs, offsets):
-        for i, j in g.edge_list():
-            rows.append(base + i)
-            cols.append(base + j)
-            rows.append(base + j)
-            cols.append(base + i)
+    n_edges = np.array([len(g.edges) for g in graphs], dtype=np.intp)
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.int64,
+        count=2 * int(n_edges.sum()),
+    ).reshape(-1, 2)
+    ends += np.repeat(offsets[:-1], n_edges)[:, None]
+    i, j = ends.T
+    # both directions of every edge, in row-major (row, column) order
+    keys = np.sort(np.concatenate((i * total + j, j * total + i)))
+    indptr = np.zeros(total + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends.ravel(), minlength=total), out=indptr[1:])
+    # scipy narrows both index arrays to the smallest dtype that holds them
     adjacency = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(total, total)
+        (np.ones(keys.size), keys % total, indptr), shape=(total, total)
     )
-    adjacency.sort_indices()
     node_graph = np.repeat(np.arange(len(graphs), dtype=np.intp), sizes)
     return GraphStack(
         graphs=graphs,
@@ -276,18 +284,48 @@ class ForwardCache:
     estimates: np.ndarray
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def _gru_step(
+    gru: GruParams,
+    states: np.ndarray,
+    messages: np.ndarray,
+    out: np.ndarray,
+    z: np.ndarray,
+    r: np.ndarray,
+    c: np.ndarray,
+    reset_state: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """One GRU round written into the caller's buffers, allocating nothing.
 
-
-def _gru_step(gru: GruParams, states: np.ndarray, messages: np.ndarray):
-    z = _sigmoid(messages @ gru.w_z.T + states @ gru.u_z.T + gru.b_z)
-    r = _sigmoid(messages @ gru.w_r.T + states @ gru.u_r.T + gru.b_r)
-    reset_state = r * states
-    c = np.tanh(messages @ gru.w_c.T + reset_state @ gru.u_c.T + gru.b_c)
-    new_states = (1.0 - z) * states + z * c
-    return new_states, z, r, c, reset_state
+    Sets ``out`` to the new states and ``z``, ``r``, ``c``, ``reset_state``
+    to the update gate, reset gate, candidate and ``r * states``; ``scratch``
+    is overwritten. Every buffer has the shape of ``states``, is C-contiguous
+    and aliases no other argument. The arithmetic is, operation for operation,
+    ``sigmoid(a) = 1 / (1 + exp(-a))`` of ``(messages @ w.T + states @ u.T) + b``
+    per gate and ``(1 - z) * states + z * c``. ``exp`` overflows to inf for
+    very negative gate inputs, giving the correct limit 0; the caller silences
+    that warning once per pass.
+    """
+    gates = ((z, gru.w_z, gru.u_z, gru.b_z), (r, gru.w_r, gru.u_r, gru.b_r))
+    for gate, w, u, b in gates:
+        np.matmul(messages, w.T, out=gate)
+        np.matmul(states, u.T, out=scratch)
+        np.add(gate, scratch, out=gate)
+        np.add(gate, b, out=gate)
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        np.add(1.0, gate, out=gate)
+        np.divide(1.0, gate, out=gate)
+    np.multiply(r, states, out=reset_state)
+    np.matmul(messages, gru.w_c.T, out=c)
+    np.matmul(reset_state, gru.u_c.T, out=scratch)
+    np.add(c, scratch, out=c)
+    np.add(c, gru.b_c, out=c)
+    np.tanh(c, out=c)
+    np.subtract(1.0, z, out=scratch)
+    np.multiply(scratch, states, out=scratch)
+    np.multiply(z, c, out=out)
+    np.add(scratch, out, out=out)
 
 
 def _readout_rows(ro: ReadoutParams, x: np.ndarray):
@@ -317,20 +355,27 @@ def forward_stack(
     _check_mode(mode)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    h = params.hidden_size
-    x = initial_state(stack.n_total, h)
+    x = initial_state(stack.n_total, params.hidden_size)
+    scratch = np.empty(x.shape)
+    if not want_cache:
+        z, r, c, rs, spare = np.empty((5, *x.shape))
     states = [x]
     messages, update_gates, reset_gates, candidates, reset_states = [], [], [], [], []
-    for _ in range(rounds):
-        m = stack.adjacency @ (x @ params.w_msg.T)
-        x, z, r, c, rs = _gru_step(params.gru, x, m)
-        if want_cache:
-            messages.append(m)
-            update_gates.append(z)
-            reset_gates.append(r)
-            candidates.append(c)
-            reset_states.append(rs)
-            states.append(x)
+    with np.errstate(over="ignore"):
+        for _ in range(rounds):
+            m = stack.adjacency @ np.matmul(x, params.w_msg.T, out=scratch)
+            if want_cache:
+                # the cache keeps every round's arrays, so each round gets new ones
+                z, r, c, rs, spare = np.empty((5, *x.shape))
+            _gru_step(params.gru, x, m, spare, z, r, c, rs, scratch)
+            x, spare = spare, x
+            if want_cache:
+                messages.append(m)
+                update_gates.append(z)
+                reset_gates.append(r)
+                candidates.append(c)
+                reset_states.append(rs)
+                states.append(x)
 
     if mode == "local":
         readout_input = x
@@ -491,7 +536,10 @@ def gru_update(params: ModelParams, states: np.ndarray, messages: np.ndarray) ->
     messages = np.asarray(messages, dtype=float)
     if states.shape != messages.shape or states.shape[-1] != params.hidden_size:
         raise ValueError("states and messages must both be (n, hidden_size)")
-    new_states, _, _, _, _ = _gru_step(params.gru, states, messages)
+    new_states = np.empty(states.shape)
+    z, r, c, reset_state, scratch = np.empty((5, *states.shape))
+    with np.errstate(over="ignore"):
+        _gru_step(params.gru, states, messages, new_states, z, r, c, reset_state, scratch)
     return new_states
 
 

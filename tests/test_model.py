@@ -1,15 +1,21 @@
+import itertools
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 
 from conftest import complete_graph, cycle_graph, path_graph
+from fiedler import model
 from fiedler.cli import GRADCHECK_INSTANCES
 from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph, permute
 from fiedler.model import (
+    MODES,
+    ForwardCache,
     ModelParams,
     backward,
     backward_stack,
@@ -171,6 +177,59 @@ def test_message_step_shape_check():
         message_step(p, path_graph(3), np.zeros((3, 5)))
 
 
+# -- stack build --------------------------------------------------------------
+
+
+def _build_stack_coo(graphs):
+    """Reference: the per-edge loop and COO-to-CSR conversion build_stack used
+    before it built the CSR arrays directly. Returns (adjacency, offsets,
+    node_graph)."""
+    sizes = np.array([g.n for g in graphs], dtype=np.intp)
+    offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    total = int(offsets[-1])
+    rows, cols = [], []
+    for g, base in zip(graphs, offsets):
+        for i, j in g.edge_list():
+            rows += [base + i, base + j]
+            cols += [base + j, base + i]
+    adjacency = sp.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(total, total)
+    )
+    adjacency.sort_indices()
+    node_graph = np.repeat(np.arange(len(graphs), dtype=np.intp), sizes)
+    return adjacency, offsets, node_graph
+
+
+@st.composite
+def _graphs(draw):
+    """A graph with 3..64 nodes and any edge set, the empty one included."""
+    n = draw(st.integers(3, 64))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=4 * n))
+    return Graph(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_graphs(), min_size=1, max_size=12))
+@example([Graph(3, [])])
+@example([Graph(3, []), Graph(5, [(0, 4)]), Graph(3, [])])
+@example([Graph(64, itertools.combinations(range(64), 2))])
+def test_build_stack_is_bitwise_equal_to_coo_reference(graphs):
+    stack = build_stack(graphs)
+    adjacency, offsets, node_graph = _build_stack_coo(graphs)
+    for name in ("indices", "indptr", "data"):
+        got, want = getattr(stack.adjacency, name), getattr(adjacency, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert stack.adjacency.shape == adjacency.shape
+    assert stack.adjacency.has_sorted_indices and adjacency.has_sorted_indices
+    for got, want in ((stack.offsets, offsets), (stack.node_graph, node_graph)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert stack.graphs == tuple(graphs)
+
+
 # -- GRU update ---------------------------------------------------------------
 
 
@@ -202,6 +261,128 @@ def test_gru_all_zero_inputs_and_biases_give_zero():
     p = init_params(5, seed=0)
     out = gru_update(p, np.zeros((3, 5)), np.zeros((3, 5)))
     assert np.array_equal(out, np.zeros((3, 5)))
+
+
+def _gru_step_allocating(gru, states, messages):
+    """Reference: the GRU step before it wrote into caller buffers, one fresh
+    array per operation and the overflow silenced per sigmoid."""
+
+    def sigmoid(a):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-a))
+
+    z = sigmoid(messages @ gru.w_z.T + states @ gru.u_z.T + gru.b_z)
+    r = sigmoid(messages @ gru.w_r.T + states @ gru.u_r.T + gru.b_r)
+    reset_state = r * states
+    c = np.tanh(messages @ gru.w_c.T + reset_state @ gru.u_c.T + gru.b_c)
+    new_states = (1.0 - z) * states + z * c
+    return new_states, z, r, c, reset_state
+
+
+def _forward_stack_allocating(params, stack, rounds, mode):
+    """Reference: forward_stack's loop around ``_gru_step_allocating``; returns
+    the ForwardCache it would have built."""
+    x = initial_state(stack.n_total, params.hidden_size)
+    states, per_round = [x], []
+    for _ in range(rounds):
+        m = stack.adjacency @ (x @ params.w_msg.T)
+        x, z, r, c, rs = _gru_step_allocating(params.gru, x, m)
+        per_round.append((m, z, r, c, rs))
+        states.append(x)
+    if mode == "local":
+        readout_input, ro = x, params.readout_local
+    else:
+        readout_input, ro = model._segment_mean(x, stack), params.readout_global
+    estimates, preact, hidden = model._readout_rows(ro, readout_input)
+    messages, z, r, c, rs = (list(arrays) for arrays in zip(*per_round))
+    return ForwardCache(mode, rounds, stack, states, messages, z, r, c, rs,
+                        readout_input, preact, hidden, estimates)
+
+
+def _perturbed_params(h, seed):
+    """Initial parameters with every coordinate moved, biases included."""
+    vec = flatten_params(init_params(h, seed))
+    vec += np.random.default_rng(seed).normal(scale=0.3, size=vec.size)
+    return unflatten_params(vec, h)
+
+
+_CACHE_LISTS = ("states", "messages", "update_gates", "reset_gates",
+                "candidates", "reset_states")
+_CACHE_ARRAYS = ("readout_input", "readout_preact", "readout_hidden", "estimates")
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 8])
+@pytest.mark.parametrize("mode", MODES)
+def test_forward_backward_bitwise_equal_to_allocating_reference(mode, rounds):
+    p = _perturbed_params(8, seed=31)
+    graphs = [rand_graph(200 + i, 3, 20) for i in range(5)] + [Graph(3, [])]
+    stack = build_stack(graphs)
+    targets = np.linspace(0.2, 2.0, len(graphs))
+    params_before = flatten_params(p).tobytes()
+    adjacency_before = [a.tobytes() for a in (stack.adjacency.data,
+                        stack.adjacency.indices, stack.adjacency.indptr)]
+
+    want = _forward_stack_allocating(p, stack, rounds, mode)
+    est, cache = forward_stack(p, stack, rounds, mode, want_cache=True)
+    est_nocache, none = forward_stack(p, stack, rounds, mode, want_cache=False)
+    assert none is None
+    assert est.tobytes() == est_nocache.tobytes() == want.estimates.tobytes()
+    for name in _CACHE_LISTS:
+        got, ref = getattr(cache, name), getattr(want, name)
+        assert len(got) == len(ref), name
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref)), name
+    for name in _CACHE_ARRAYS:
+        assert getattr(cache, name).tobytes() == getattr(want, name).tobytes(), name
+
+    # the cache keeps every round: no two of its arrays may share memory
+    kept = [a for name in _CACHE_LISTS for a in getattr(cache, name)]
+    for a, b in itertools.combinations(kept, 2):
+        assert not np.shares_memory(a, b)
+
+    loss, grads = backward_stack(p, cache, targets)
+    ref_loss, ref_grads = backward_stack(p, want, targets)
+    assert loss.hex() == ref_loss.hex()
+    assert flatten_params(grads).tobytes() == flatten_params(ref_grads).tobytes()
+
+    assert flatten_params(p).tobytes() == params_before
+    assert [a.tobytes() for a in (stack.adjacency.data, stack.adjacency.indices,
+            stack.adjacency.indptr)] == adjacency_before
+
+
+@pytest.mark.parametrize("h, n", [(1, 1), (8, 1), (8, 7), (32, 40)])
+def test_gru_update_bitwise_equal_to_allocating_reference(h, n):
+    p = _perturbed_params(h, seed=h + n)
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(n, h))
+    messages = rng.normal(scale=3.0, size=(n, h))
+    inputs = states.tobytes() + messages.tobytes()
+    want = _gru_step_allocating(p.gru, states, messages)[0]
+    assert gru_update(p, states, messages).tobytes() == want.tobytes()
+    assert states.tobytes() + messages.tobytes() == inputs
+    # and the same for column-major inputs
+    fortran = np.asfortranarray(states)
+    want_f = _gru_step_allocating(p.gru, fortran, messages)[0]
+    assert gru_update(p, fortran, messages).tobytes() == want_f.tobytes()
+
+
+def test_large_weights_saturate_without_runtime_warnings():
+    h = 8
+    p = unflatten_params(flatten_params(init_params(h, seed=5)) * 1e3, h)
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(6, h))
+    messages = rng.normal(size=(6, h))
+    # exp(-a) overflows once a gate input a drops below about -709
+    gate_input = messages @ p.gru.w_z.T + states @ p.gru.u_z.T + p.gru.b_z
+    assert gate_input.min() < -710.0
+    stack = build_stack([rand_graph(s) for s in (1, 2, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gru_update(p, states, messages)
+        assert np.all(np.isfinite(out))
+        for mode in MODES:
+            for want_cache in (True, False):
+                est, _ = forward_stack(p, stack, 8, mode, want_cache=want_cache)
+                assert np.all(np.isfinite(est))
 
 
 # -- readouts -----------------------------------------------------------------
