@@ -69,5 +69,4 @@ from .simulation import (
     RoundTrace,
     node_estimate_report,
     run_simulation,
-    run_simulation_with_drop,
 )

@@ -1,8 +1,9 @@
 """Command-line pipeline: gen-data, train, eval, sweep, simulate, gradcheck.
 
 Every command materializes its full configuration (flags override an optional
-``key=value`` config file; ``FIEDLER_SEED`` is the seed fallback) and writes a
-JSON manifest next to its outputs, so any artifact can be reproduced exactly.
+``key=value`` config file whose keys are the flag names without ``--``;
+``FIEDLER_SEED`` is the seed fallback) and writes a JSON manifest next to its
+outputs, so any artifact can be reproduced exactly.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -16,16 +17,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import dataset_text, generate_dataset, load_dataset
 from .graphs import GraphGenConfig, MAX_NODES, MIN_NODES, generate_connected_graph
 from .model import grad_check, init_params, load_params, save_params
-from .simulation import NodeEstimateReport, run_simulation, run_simulation_with_drop
-from .spectral import algebraic_connectivity
+from .simulation import NodeEstimateReport, run_simulation
 from .training import (
-    Metrics,
     TrainConfig,
     evaluate,
     generalization_sweep,
@@ -64,12 +61,8 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(manifest: RunManifest, path: Path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(manifest.json_text())
-
-
 def _load_config_file(path) -> dict:
+    """``key -> (value, "path:line")``; a repeated key keeps its last value."""
     conf = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -79,33 +72,40 @@ def _load_config_file(path) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            conf[key.strip()] = value.strip()
+            conf[key.strip()] = (value.strip(), f"{path}:{lineno}")
     return conf
 
 
-def _pick(flag_value, conf: dict, key: str, cast, default):
-    if flag_value is not None:
-        return flag_value
-    if key in conf:
-        try:
-            return cast(conf[key])
-        except ValueError as exc:
-            raise UsageError(f"config file: bad value for {key}: {conf[key]!r}") from exc
-    return default
-
-
-def _pick_seed(flag_value, conf: dict) -> int:
-    if flag_value is not None:
-        return flag_value
-    if "seed" in conf:
-        return int(conf["seed"])
+def _env_seed() -> int:
     env = os.environ.get("FIEDLER_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"FIEDLER_SEED is not an integer: {env!r}") from exc
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise UsageError(f"FIEDLER_SEED is not an integer: {env!r}") from exc
+
+
+def _resolve_options(args) -> None:
+    """Give every configurable flag left unset its config-file value, cast
+    with the flag's own type, or else its default."""
+    conf = _load_config_file(args.config) if args.config else {}
+    for action, key, default in args.options:
+        if getattr(args, action.dest) is not None:
+            continue
+        if key in conf:
+            text, where = conf[key]
+            try:
+                value = action.type(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"{where}: {key}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(
+                    f"{where}: {key}: expected one of {', '.join(action.choices)}, got {text!r}"
+                )
+        else:
+            value = default() if callable(default) else default
+        setattr(args, action.dest, value)
 
 
 def _guard_output(path: Path, force: bool) -> None:
@@ -124,95 +124,165 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_run(args, seed: int, config: dict, inputs, outputs, manifest_path=None) -> None:
+    """Write each ``(path, text)`` of ``outputs`` in turn, refusing to
+    overwrite without --force (a ``None`` text is a file the command already
+    wrote), then the run manifest, by default at ``<first output>.manifest.json``."""
+    for path, text in outputs:
+        if text is not None:
+            _guard_output(path, args.force)
+            _atomic_write(path, text)
+    if manifest_path is None:
+        first = outputs[0][0]
+        manifest_path = first.with_name(first.name + ".manifest.json")
+    manifest = RunManifest(
+        command=args.command,
+        version=__version__,
+        seed=seed,
+        config=config,
+        inputs=[str(path) for path in inputs],
+        outputs=[str(path) for path, _ in outputs],
+    )
+    _atomic_write(manifest_path, manifest.json_text())
+
+
+def _resolve_checkpoint(args, local_only: bool = False):
+    """``(params, mode, T)`` of ``--checkpoint``; ``--mode``, ``--hidden`` and
+    ``--T`` win over its header. ``local_only`` (simulate) demands a
+    local-mode checkpoint and falls back to T=8 when the header has no T."""
+    params, meta = load_params(args.checkpoint)
+    mode = meta.get("mode")
+    if local_only:
+        if mode != "local":
+            raise UsageError(
+                "simulate needs a local-mode checkpoint (per-node readout); "
+                f"this one is mode={mode}"
+            )
+    else:
+        if args.mode is not None:
+            if mode is not None and mode != args.mode:
+                raise UsageError(
+                    f"--mode {args.mode} conflicts with checkpoint mode {mode}"
+                )
+            mode = args.mode
+        if mode is None:
+            raise UsageError("checkpoint has no mode metadata; pass --mode")
+        if args.hidden is not None and args.hidden != params.hidden_size:
+            raise UsageError(
+                f"--hidden {args.hidden} conflicts with checkpoint H={params.hidden_size}"
+            )
+    rounds = args.rounds
+    if rounds is None and "T" in meta:
+        rounds = int(meta["T"])
+    if rounds is None:
+        if not local_only:
+            raise UsageError("checkpoint has no T metadata; pass --T")
+        rounds = 8
+    return params, mode, rounds
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 def _parse_sizes(text: str) -> list[int]:
     sizes: list[int] = []
-    for token in filter(None, (t.strip() for t in text.split(","))):
-        if ".." in token:
-            lo, _, hi = token.partition("..")
-            sizes.extend(range(int(lo), int(hi) + 1))
-        else:
-            sizes.append(int(token))
+    try:
+        for token in filter(None, (t.strip() for t in text.split(","))):
+            if ".." in token:
+                lo, _, hi = token.partition("..")
+                sizes.extend(range(int(lo), int(hi) + 1))
+            else:
+                sizes.append(int(token))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected sizes like 9,10,11 or 7..13, got {text!r}"
+        ) from None
     if not sizes:
-        raise UsageError("--sizes must list at least one size")
+        raise argparse.ArgumentTypeError("must list at least one size")
     return sizes
 
 
 def _parse_edges(text: str) -> list[tuple[int, int]]:
     edges = []
     for token in filter(None, (t.strip() for t in text.split(","))):
-        i, sep, j = token.partition("-")
-        if not sep:
-            raise UsageError(f"bad edge {token!r}; expected i-j")
-        edges.append((int(i), int(j)))
+        i, _, j = token.partition("-")
+        try:
+            edges.append((int(i), int(j)))
+        except ValueError:
+            raise UsageError(f"--drop-edges: bad edge {token!r}; expected i-j") from None
     return edges
 
 
+def _train_n_range(path: Path) -> tuple[int, int]:
+    """``config.train_n_range`` of a train run manifest."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            n_lo, n_hi = json.load(fh)["config"]["train_n_range"]
+        if type(n_lo) is not int or type(n_hi) is not int:
+            raise TypeError("bounds are not integers")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{path}: not a train manifest with config.train_n_range [lo, hi] "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    return n_lo, n_hi
+
+
 # ---------------------------------------------------------------------------
-# gen-data
+# commands; each reads its flags after _resolve_options has filled them in
 # ---------------------------------------------------------------------------
 
 
 def _cmd_gen_data(args) -> int:
-    conf = _load_config_file(args.config) if args.config else {}
-    count = _pick(args.count, conf, "count", int, 1000)
-    n_min = _pick(args.n_min, conf, "n-min", int, 9)
-    n_max = _pick(args.n_max, conf, "n-max", int, 11)
-    p_min = _pick(args.p_min, conf, "p-min", float, 0.16)
-    p_max = _pick(args.p_max, conf, "p-max", float, 0.95)
-    seed = _pick_seed(args.seed, conf)
-    if count < 1:
-        raise UsageError("--count must be >= 1")
     try:
-        cfg = GraphGenConfig(n_range=(n_min, n_max), p_range=(p_min, p_max), seed=seed)
+        cfg = GraphGenConfig(
+            n_range=(args.n_min, args.n_max), p_range=(args.p_min, args.p_max), seed=args.seed
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     out = Path(args.out)
     _guard_output(out, args.force)
-    ds = generate_dataset(cfg, count)
-    _atomic_write(out, dataset_text(ds))
-    manifest = RunManifest(
-        command="gen-data",
-        version=__version__,
-        seed=seed,
-        config={
-            "count": count,
-            "n_min": n_min,
-            "n_max": n_max,
-            "p_min": p_min,
-            "p_max": p_max,
-        },
-        inputs=[],
-        outputs=[str(out)],
-    )
-    _write_manifest(manifest, out.with_name(out.name + ".manifest.json"))
-    print(f"wrote {count} labeled graphs to {out}")
+    ds = generate_dataset(cfg, args.count)
+    config = {
+        "count": args.count,
+        "n_min": args.n_min,
+        "n_max": args.n_max,
+        "p_min": args.p_min,
+        "p_max": args.p_max,
+    }
+    _write_run(args, args.seed, config, [], [(out, dataset_text(ds))])
+    print(f"wrote {args.count} labeled graphs to {out}")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# train
-# ---------------------------------------------------------------------------
-
-
 def _cmd_train(args) -> int:
-    conf = _load_config_file(args.config) if args.config else {}
-    rounds = _pick(args.rounds, conf, "T", int, 4)
-    mode = _pick(args.mode, conf, "mode", str, "local")
-    hidden = _pick(args.hidden, conf, "hidden", int, 32)
-    epochs = _pick(args.epochs, conf, "epochs", int, 20)
-    lr = _pick(args.lr, conf, "lr", float, 1e-3)
-    batch = _pick(args.batch, conf, "batch", int, 256)
-    seed = _pick_seed(args.seed, conf)
     try:
         config = TrainConfig(
-            rounds=rounds,
-            mode=mode,
-            hidden_size=hidden,
-            epochs=epochs,
-            learning_rate=lr,
-            batch_size=batch,
-            seed=seed,
+            rounds=args.rounds,
+            mode=args.mode,
+            hidden_size=args.hidden,
+            epochs=args.epochs,
+            learning_rate=args.lr,
+            batch_size=args.batch,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -225,134 +295,70 @@ def _cmd_train(args) -> int:
     train_set = load_dataset(args.train_data)
     val_set = load_dataset(args.val_data)
     sizes = [g.n for g in train_set.graphs()]
-    train_n_range = [min(sizes), max(sizes)]
 
     params, metrics = train(config, train_set, val_set, checkpoint_dir=out_dir)
-    save_params(params, final_ckpt, mode=mode, rounds=rounds)
+    save_params(params, final_ckpt, mode=args.mode, rounds=args.rounds)
     metrics_path = out_dir / "metrics.csv"
     write_metrics(metrics, metrics_path)
-
-    manifest = RunManifest(
-        command="train",
-        version=__version__,
-        seed=seed,
-        config={
-            "T": rounds,
-            "mode": mode,
-            "hidden": hidden,
-            "epochs": epochs,
-            "lr": lr,
-            "batch": batch,
-            "train_count": len(train_set),
-            "val_count": len(val_set),
-            "train_n_range": train_n_range,
-        },
-        inputs=[str(args.train_data), str(args.val_data)],
-        outputs=[str(final_ckpt), str(metrics_path)],
+    run_config = {
+        "T": args.rounds,
+        "mode": args.mode,
+        "hidden": args.hidden,
+        "epochs": args.epochs,
+        "lr": args.lr,
+        "batch": args.batch,
+        "train_count": len(train_set),
+        "val_count": len(val_set),
+        "train_n_range": [min(sizes), max(sizes)],
+    }
+    _write_run(
+        args, args.seed, run_config, [args.train_data, args.val_data],
+        [(final_ckpt, None), (metrics_path, None)], out_dir / "manifest.json",
     )
-    _write_manifest(manifest, out_dir / "manifest.json")
     last = metrics.rows[-1]
     print(
-        f"trained {epochs} epochs: train_l2={last.train_l2:.6g} "
+        f"trained {args.epochs} epochs: train_l2={last.train_l2:.6g} "
         f"val_l1={last.val_l1:.6g} val_l2={last.val_l2:.6g}"
     )
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# eval
-# ---------------------------------------------------------------------------
-
-
-def _load_checkpoint(path, want_mode=None, want_hidden=None, want_rounds=None):
-    params, meta = load_params(path)
-    mode = meta.get("mode")
-    if want_mode is not None:
-        if mode is not None and mode != want_mode:
-            raise UsageError(
-                f"--mode {want_mode} conflicts with checkpoint mode {mode}"
-            )
-        mode = want_mode
-    if mode is None:
-        raise UsageError("checkpoint has no mode metadata; pass --mode")
-    if want_hidden is not None and want_hidden != params.hidden_size:
-        raise UsageError(
-            f"--hidden {want_hidden} conflicts with checkpoint H={params.hidden_size}"
-        )
-    rounds = want_rounds if want_rounds is not None else (
-        int(meta["T"]) if "T" in meta else None
-    )
-    return params, mode, rounds
-
-
 def _cmd_eval(args) -> int:
-    conf = _load_config_file(args.config) if args.config else {}
-    rounds_flag = _pick(args.rounds, conf, "T", int, None)
-    params, mode, rounds = _load_checkpoint(
-        args.checkpoint, args.mode, args.hidden, rounds_flag
-    )
-    if rounds is None:
-        raise UsageError("checkpoint has no T metadata; pass --T")
+    params, mode, rounds = _resolve_checkpoint(args)
     dataset = load_dataset(args.data)
     mean_l1, mean_l2 = evaluate(params, dataset, rounds, mode)
     print(f"l1={mean_l1:.17g} l2={mean_l2:.17g}")
     if args.out:
-        out = Path(args.out)
-        _guard_output(out, args.force)
-        _atomic_write(out, f"l1,l2\n{mean_l1:.17g},{mean_l2:.17g}\n")
-        manifest = RunManifest(
-            command="eval",
-            version=__version__,
-            seed=0,
-            config={"T": rounds, "mode": mode},
-            inputs=[str(args.checkpoint), str(args.data)],
-            outputs=[str(out)],
+        _write_run(
+            args, 0, {"T": rounds, "mode": mode}, [args.checkpoint, args.data],
+            [(Path(args.out), f"l1,l2\n{mean_l1:.17g},{mean_l2:.17g}\n")],
         )
-        _write_manifest(manifest, out.with_name(out.name + ".manifest.json"))
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
 def _cmd_sweep(args) -> int:
-    conf = _load_config_file(args.config) if args.config else {}
-    sizes = _parse_sizes(_pick(args.sizes, conf, "sizes", str, ""))
-    per_size = _pick(args.per_size, conf, "per-size", int, 1000)
-    p_min = _pick(args.p_min, conf, "p-min", float, 0.16)
-    p_max = _pick(args.p_max, conf, "p-max", float, 0.95)
-    seed = _pick_seed(args.seed, conf)
-    if per_size < 1:
-        raise UsageError("--per-size must be >= 1")
+    sizes = args.sizes
+    if sizes is None:
+        raise UsageError("--sizes must list at least one size")
     for n in sizes:
         if not MIN_NODES <= n <= MAX_NODES:
             raise UsageError(f"size {n} outside [{MIN_NODES}, {MAX_NODES}]")
 
-    rounds_flag = _pick(args.rounds, conf, "T", int, None)
-    params, mode, rounds = _load_checkpoint(
-        args.checkpoint, args.mode, args.hidden, rounds_flag
-    )
-    if rounds is None:
-        raise UsageError("checkpoint has no T metadata; pass --T")
-
+    params, mode, rounds = _resolve_checkpoint(args)
     manifest_path = (
         Path(args.train_manifest)
         if args.train_manifest
         else Path(args.checkpoint).with_name("manifest.json")
     )
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        train_manifest = json.load(fh)
-    n_lo, n_hi = train_manifest["config"]["train_n_range"]
+    n_lo, n_hi = _train_n_range(manifest_path)
 
     try:
         gen_cfg = GraphGenConfig(
-            n_range=(min(sizes), max(sizes)), p_range=(p_min, p_max), seed=seed
+            n_range=(min(sizes), max(sizes)), p_range=(args.p_min, args.p_max), seed=args.seed
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = generalization_sweep(params, sizes, per_size, gen_cfg, rounds, mode)
+    rows = generalization_sweep(params, sizes, args.per_size, gen_cfg, rounds, mode)
 
     lines = ["n,mean_l1,count,in_train_range"]
     for n, mean_l1, count in rows:
@@ -361,126 +367,56 @@ def _cmd_sweep(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
 
-    out = Path(args.out)
-    _guard_output(out, args.force)
-    _atomic_write(out, text)
-    manifest = RunManifest(
-        command="sweep",
-        version=__version__,
-        seed=seed,
-        config={
-            "sizes": sizes,
-            "per_size": per_size,
-            "p_min": p_min,
-            "p_max": p_max,
-            "T": rounds,
-            "mode": mode,
-            "train_n_range": [n_lo, n_hi],
-        },
-        inputs=[str(args.checkpoint), str(manifest_path)],
-        outputs=[str(out)],
-    )
-    _write_manifest(manifest, out.with_name(out.name + ".manifest.json"))
+    config = {
+        "sizes": sizes,
+        "per_size": args.per_size,
+        "p_min": args.p_min,
+        "p_max": args.p_max,
+        "T": rounds,
+        "mode": mode,
+        "train_n_range": [n_lo, n_hi],
+    }
+    _write_run(args, args.seed, config, [args.checkpoint, manifest_path],
+               [(Path(args.out), text)])
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-
 def _cmd_simulate(args) -> int:
-    conf = _load_config_file(args.config) if args.config else {}
-    n = _pick(args.n, conf, "n", int, 8)
-    p_min = _pick(args.p_min, conf, "p-min", float, 0.16)
-    p_max = _pick(args.p_max, conf, "p-max", float, 0.95)
-    seed = _pick_seed(args.seed, conf)
-    rounds_flag = _pick(args.rounds, conf, "T", int, None)
-
-    params, meta = load_params(args.checkpoint)
-    mode = meta.get("mode")
-    if mode != "local":
-        raise UsageError(
-            "simulate needs a local-mode checkpoint (per-node readout); "
-            f"this one is mode={mode}"
-        )
-    rounds = rounds_flag if rounds_flag is not None else (
-        int(meta["T"]) if "T" in meta else 8
-    )
-
+    params, _, rounds = _resolve_checkpoint(args, local_only=True)
     try:
-        cfg = GraphGenConfig(n_range=(n, n), p_range=(p_min, p_max), seed=seed)
+        cfg = GraphGenConfig(
+            n_range=(args.n, args.n), p_range=(args.p_min, args.p_max), seed=args.seed
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     g = generate_connected_graph(cfg, 0)
 
-    if args.drop_edges:
-        dropped = _parse_edges(args.drop_edges)
-        from_round = args.drop_from if args.drop_from is not None else 1
-        try:
-            estimates = run_simulation_with_drop(params, g, rounds, dropped, from_round)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        trace = None
-    else:
-        estimates, trace = run_simulation(params, g, rounds)
-    truth = algebraic_connectivity(g)
-    report = NodeEstimateReport(
-        true_lambda2=truth,
-        estimates=estimates,
-        errors=np.abs(estimates - truth),
-    )
-
+    dropped = _parse_edges(args.drop_edges) if args.drop_edges else ()
+    drop_from = 1 if args.drop_from is None else args.drop_from
+    try:
+        estimates, trace = run_simulation(params, g, rounds, dropped, drop_from)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    report = NodeEstimateReport.from_estimates(g, estimates)
     for line in report.text_lines():
         print(line)
 
     outputs = []
     if args.out:
-        out = Path(args.out)
-        _guard_output(out, args.force)
-        _atomic_write(out, report.csv_text())
-        outputs.append(str(out))
+        outputs.append((Path(args.out), report.csv_text()))
     if args.trace:
-        if trace is None:
-            raise UsageError("--trace is not available together with --drop-edges")
-        trace_path = Path(args.trace)
-        _guard_output(trace_path, args.force)
-        header = "round,sender,receiver," + ",".join(
-            f"m{k}" for k in range(params.hidden_size)
-        )
-        lines = [header]
-        for rnd_index, record in enumerate(trace.rounds, start=1):
-            for sender, receiver, payload in record.messages:
-                payload_text = ",".join(f"{v:.17g}" for v in payload)
-                lines.append(f"{rnd_index},{sender},{receiver},{payload_text}")
-        _atomic_write(trace_path, "\n".join(lines) + "\n")
-        outputs.append(str(trace_path))
-
+        outputs.append((Path(args.trace), trace.csv_text()))
     if outputs:
-        manifest = RunManifest(
-            command="simulate",
-            version=__version__,
-            seed=seed,
-            config={
-                "n": n,
-                "T": rounds,
-                "p_min": p_min,
-                "p_max": p_max,
-                "drop_edges": args.drop_edges or "",
-                "drop_from": args.drop_from,
-            },
-            inputs=[str(args.checkpoint)],
-            outputs=outputs,
-        )
-        _write_manifest(
-            manifest, Path(outputs[0]).with_name(Path(outputs[0]).name + ".manifest.json")
-        )
+        config = {
+            "n": args.n,
+            "T": rounds,
+            "p_min": args.p_min,
+            "p_max": args.p_max,
+            "drop_edges": args.drop_edges or "",
+            "drop_from": args.drop_from,
+        }
+        _write_run(args, args.seed, config, [args.checkpoint], outputs)
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# gradcheck
-# ---------------------------------------------------------------------------
 
 
 # Instance grid for the gradient check: (n, T, graph_seed, param_seed) per
@@ -509,24 +445,17 @@ GRADCHECK_INSTANCES = {
 
 
 def _cmd_gradcheck(args) -> int:
-    conf = _load_config_file(args.config) if args.config else {}
-    hidden = _pick(args.hidden, conf, "hidden", int, 8)
-    epsilon = _pick(args.epsilon, conf, "epsilon", float, 1e-5)
-    seed = _pick_seed(args.seed, conf)
-    if epsilon <= 0:
-        raise UsageError("--epsilon must be positive")
-
     ok = True
     for mode in ("local", "global"):
         worst = 0.0
         for i, (n, rounds, graph_seed, param_seed) in enumerate(GRADCHECK_INSTANCES[mode]):
             cfg = GraphGenConfig(
-                n_range=(n, n), p_range=(0.5, 0.9), seed=graph_seed + seed
+                n_range=(n, n), p_range=(0.5, 0.9), seed=graph_seed + args.seed
             )
             g = generate_connected_graph(cfg, 0)
-            params = init_params(hidden, param_seed + seed)
+            params = init_params(args.hidden, param_seed + args.seed)
             err = grad_check(
-                params, g, rounds, mode, epsilon=epsilon,
+                params, g, rounds, mode, epsilon=args.epsilon,
                 corrupt=args.corrupt and i == 0,
             )
             worst = max(worst, err)
@@ -544,84 +473,84 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--seed", type=int, help="RNG seed (fallback: FIEDLER_SEED, then 0)")
-    p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fiedler", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a labeled random-graph dataset")
-    p.add_argument("--count", type=int)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--p-min", type=float)
-    p.add_argument("--p-max", type=float)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen_data)
+    def option(p, flag, type, default, **kwargs):
+        """A flag a config file may also set, under its name without ``--``."""
+        action = p.add_argument(flag, type=type, **kwargs)
+        p.get_default("options").append((action, flag[2:], default))
 
-    p = sub.add_parser("train", help="train an estimator on labeled datasets")
+    def command(name, func, help, seeded=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+        p.set_defaults(func=func, options=[])
+        seed_help = "RNG seed (fallback: FIEDLER_SEED, then 0)"
+        if seeded:
+            option(p, "--seed", int, _env_seed, help=seed_help)
+        else:
+            p.add_argument("--seed", type=int, help=seed_help)
+        return p
+
+    p = command("gen-data", _cmd_gen_data, "generate a labeled random-graph dataset")
+    option(p, "--count", _positive_int, 1000)
+    option(p, "--n-min", int, 9)
+    option(p, "--n-max", int, 11)
+    option(p, "--p-min", float, 0.16)
+    option(p, "--p-max", float, 0.95)
+    p.add_argument("--out", required=True)
+
+    p = command("train", _cmd_train, "train an estimator on labeled datasets")
     p.add_argument("--train-data", required=True)
     p.add_argument("--val-data", required=True)
-    p.add_argument("--T", dest="rounds", type=int)
-    p.add_argument("--mode", choices=("local", "global"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
+    option(p, "--T", _positive_int, 4, dest="rounds")
+    option(p, "--mode", str, "local", choices=("local", "global"))
+    option(p, "--hidden", _positive_int, 32)
+    option(p, "--epochs", _positive_int, 20)
+    option(p, "--lr", float, 1e-3)
+    option(p, "--batch", _positive_int, 256)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="mean errors of a checkpoint on a dataset")
+    p = command("eval", _cmd_eval, "mean errors of a checkpoint on a dataset",
+                seeded=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--T", dest="rounds", type=int)
+    option(p, "--T", _positive_int, None, dest="rounds")
     p.add_argument("--mode", choices=("local", "global"))
-    p.add_argument("--hidden", type=int)
+    p.add_argument("--hidden", type=_positive_int)
     p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="error as a function of graph size")
+    p = command("sweep", _cmd_sweep, "error as a function of graph size")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sizes", help="e.g. 9,10,11 or 7..13")
-    p.add_argument("--per-size", type=int)
-    p.add_argument("--p-min", type=float)
-    p.add_argument("--p-max", type=float)
-    p.add_argument("--T", dest="rounds", type=int)
+    option(p, "--sizes", _parse_sizes, None, help="e.g. 9,10,11 or 7..13")
+    option(p, "--per-size", _positive_int, 1000)
+    option(p, "--p-min", float, 0.16)
+    option(p, "--p-max", float, 0.95)
+    option(p, "--T", _positive_int, None, dest="rounds")
     p.add_argument("--mode", choices=("local", "global"))
-    p.add_argument("--hidden", type=int)
+    p.add_argument("--hidden", type=_positive_int)
     p.add_argument("--train-manifest")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="run agents on a random graph and report")
+    p = command("simulate", _cmd_simulate, "run agents on a random graph and report")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--T", dest="rounds", type=int)
-    p.add_argument("--p-min", type=float)
-    p.add_argument("--p-max", type=float)
+    option(p, "--n", int, 8)
+    option(p, "--T", _positive_int, None, dest="rounds")
+    option(p, "--p-min", float, 0.16)
+    option(p, "--p-max", float, 0.95)
     p.add_argument("--drop-edges", help="edges to silence, e.g. 0-1,2-3")
     p.add_argument("--drop-from", type=int, help="first round the drop applies to")
     p.add_argument("--trace", help="write per-message trace CSV here")
     p.add_argument("--out", help="write the per-node report CSV here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("gradcheck", help="compare gradients to finite differences")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epsilon", type=float)
+    p = command("gradcheck", _cmd_gradcheck, "compare gradients to finite differences")
+    option(p, "--hidden", _positive_int, 8)
+    option(p, "--epsilon", _positive_float, 1e-5)
     p.add_argument("--corrupt", action="store_true",
                    help="damage one gradient entry (detector self-test)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gradcheck)
 
     return parser
 
@@ -630,6 +559,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _resolve_options(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

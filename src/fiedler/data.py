@@ -10,7 +10,6 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import Graph, GraphGenConfig, generate_connected_graph, is_connected
 from .spectral import algebraic_connectivities
@@ -23,10 +22,9 @@ LABEL_TOL = 1e-9
 
 @dataclass
 class Dataset:
-    """List of (graph, lambda2) pairs plus the config that generated them."""
+    """List of (graph, lambda2) pairs."""
 
     items: list
-    provenance: Optional[GraphGenConfig] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -43,7 +41,7 @@ def generate_dataset(cfg: GraphGenConfig, count: int) -> Dataset:
     if count < 1:
         raise ValueError("count must be >= 1")
     graphs = [generate_connected_graph(cfg, draw_index) for draw_index in range(count)]
-    return Dataset(items=list(zip(graphs, algebraic_connectivities(graphs))), provenance=cfg)
+    return Dataset(items=list(zip(graphs, algebraic_connectivities(graphs))))
 
 
 def _format_item(g: Graph, label: float) -> str:
@@ -115,4 +113,4 @@ def load_dataset(path, verify: bool = True) -> Dataset:
                 raise ValueError(
                     f"{path}:{lineno}: label {label} disagrees with oracle {truth}"
                 )
-    return Dataset(items=items, provenance=None)
+    return Dataset(items=items)

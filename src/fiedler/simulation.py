@@ -43,16 +43,32 @@ class RoundTrace:
     def message_count(self) -> int:
         return sum(len(r.messages) for r in self.rounds)
 
+    def csv_text(self) -> str:
+        """``round,sender,receiver,m0..m{H-1}``: one row per delivered message."""
+        hidden = self.rounds[0].states.shape[1]
+        lines = ["round,sender,receiver," + ",".join(f"m{k}" for k in range(hidden))]
+        for rnd, record in enumerate(self.rounds, start=1):
+            for sender, receiver, payload in record.messages:
+                payload_text = ",".join(f"{v:.17g}" for v in payload)
+                lines.append(f"{rnd},{sender},{receiver},{payload_text}")
+        return "\n".join(lines) + "\n"
 
-def _run_rounds(
+
+def run_simulation(
     params: ModelParams,
     g: Graph,
     rounds: int,
-    dropped: frozenset = frozenset(),
-    drop_from_round: int = 1,
+    drop_edges=(),
+    drop_from: int = 1,
 ) -> tuple[np.ndarray, RoundTrace]:
+    """Per-agent estimates after ``rounds`` synchronous message rounds, and the
+    trace of every delivered message. The edges in ``drop_edges`` (``(i, j)``
+    pairs in either order) deliver nothing from round ``drop_from`` on."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    dropped = frozenset((min(i, j), max(i, j)) for i, j in drop_edges)
+    if not dropped <= g.edges:
+        raise ValueError("drop_edges must be a subset of the graph's edges")
     h = params.hidden_size
     start = initial_state(g.n, h)
     agents = [Agent(node=v, params=params, state=start[v].copy()) for v in range(g.n)]
@@ -67,7 +83,7 @@ def _run_rounds(
             payload = agent.params.w_msg @ agent.state
             for w in nbrs[agent.node]:
                 edge = (min(agent.node, w), max(agent.node, w))
-                if rnd >= drop_from_round and edge in dropped:
+                if rnd >= drop_from and edge in dropped:
                     continue
                 agents[w].inbox.append((agent.node, payload))
                 records.append((agent.node, w, payload))
@@ -93,26 +109,6 @@ def _run_rounds(
     return estimates, RoundTrace(rounds=trace_rounds)
 
 
-def run_simulation(params: ModelParams, g: Graph, rounds: int):
-    """Per-agent estimates after ``rounds`` synchronous message rounds."""
-    return _run_rounds(params, g, rounds)
-
-
-def run_simulation_with_drop(
-    params: ModelParams,
-    g: Graph,
-    rounds: int,
-    drop_edges,
-    from_round: int,
-) -> np.ndarray:
-    """Same protocol, but the listed edges deliver nothing from ``from_round`` on."""
-    dropped = frozenset((min(i, j), max(i, j)) for i, j in drop_edges)
-    if not dropped <= g.edges:
-        raise ValueError("drop_edges must be a subset of the graph's edges")
-    estimates, _ = _run_rounds(params, g, rounds, dropped, from_round)
-    return estimates
-
-
 @dataclass
 class NodeEstimateReport:
     """True connectivity plus every agent's estimate and absolute error."""
@@ -120,6 +116,12 @@ class NodeEstimateReport:
     true_lambda2: float
     estimates: np.ndarray
     errors: np.ndarray
+
+    @classmethod
+    def from_estimates(cls, g: Graph, estimates: np.ndarray) -> "NodeEstimateReport":
+        """Compare each agent's estimate on ``g`` to the oracle."""
+        truth = algebraic_connectivity(g)
+        return cls(true_lambda2=truth, estimates=estimates, errors=np.abs(estimates - truth))
 
     def text_lines(self) -> list[str]:
         lines = [f"true lambda2 {self.true_lambda2:.6g}"]
@@ -138,9 +140,4 @@ class NodeEstimateReport:
 def node_estimate_report(params: ModelParams, g: Graph, rounds: int) -> NodeEstimateReport:
     """Run the distributed estimator and compare each agent to the oracle."""
     estimates, _ = run_simulation(params, g, rounds)
-    truth = algebraic_connectivity(g)
-    return NodeEstimateReport(
-        true_lambda2=truth,
-        estimates=estimates,
-        errors=np.abs(estimates - truth),
-    )
+    return NodeEstimateReport.from_estimates(g, estimates)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    # Dataset provenance, carried for run manifests; train() takes datasets.
-    train_count: Optional[int] = None
-    val_count: Optional[int] = None
-    n_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         if self.rounds < 1:

@@ -5,6 +5,7 @@ import pytest
 
 from fiedler.cli import main
 from fiedler.data import load_dataset
+from fiedler.graphs import GraphGenConfig, generate_connected_graph
 from fiedler.model import init_params, load_params, save_params
 from fiedler.training import Metrics
 
@@ -195,8 +196,6 @@ def test_simulate_report_and_trace(workspace, tmp_path, capsys):
     assert len(trace_lines[0].split(",")) == 3 + 8
     body = trace_lines[1:]
     # the simulated graph is reproducible from the manifest settings
-    from fiedler.graphs import GraphGenConfig, generate_connected_graph
-
     cfg = GraphGenConfig(
         n_range=(8, 8),
         p_range=(ds_manifest["config"]["p_min"], ds_manifest["config"]["p_max"]),
@@ -215,12 +214,25 @@ def test_simulate_rejects_global_checkpoint(tmp_path):
     assert run("simulate", "--checkpoint", ckpt) == 1
 
 
-def test_simulate_drop_edges(workspace, capsys):
+def test_simulate_drop_edges(workspace, tmp_path):
     _, _, _, run_dir = workspace
-    assert run("simulate", "--checkpoint", run_dir / "checkpoint.txt",
-               "--n", 6, "--T", 2, "--seed", 4, "--drop-edges", "0-1") in (0, 1)
+    ckpt = run_dir / "checkpoint.txt"
+    g = generate_connected_graph(GraphGenConfig(n_range=(6, 6), seed=4), 0)
+    dropped = g.edge_list()[:2]
+    rounds, drop_from = 3, 2
+    trace = tmp_path / "trace.csv"
+    assert run("simulate", "--checkpoint", ckpt, "--n", 6, "--T", rounds, "--seed", 4,
+               "--drop-edges", ",".join(f"{i}-{j}" for i, j in dropped),
+               "--drop-from", drop_from, "--trace", trace) == 0
+    # the trace holds only delivered messages
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    assert len(rows) == (rounds * 2 * len(g.edges)
+                         - 2 * len(dropped) * (rounds - drop_from + 1))
+    quiet = set(dropped) | {(j, i) for i, j in dropped}
+    assert not [r for r in rows
+                if int(r[0]) >= drop_from and (int(r[1]), int(r[2])) in quiet]
     # an edge that does not exist is a usage error
-    assert run("simulate", "--checkpoint", run_dir / "checkpoint.txt",
+    assert run("simulate", "--checkpoint", ckpt,
                "--n", 6, "--T", 2, "--seed", 4, "--drop-edges", "0-0") == 1
 
 
@@ -263,3 +275,90 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_unknown_flag_is_usage_error():
     assert run("gen-data", "--frobnicate") == 1
+
+
+@pytest.mark.parametrize("argv, conf, code, where", [
+    (["gen-data", "--out", "{tmp}/d.txt"], "seed=abc\n", 1, "conf.txt:1: seed"),
+    (["gen-data", "--out", "{tmp}/d.txt"], "# counts\ncount=x\n", 1, "conf.txt:2: count"),
+    (["eval", "--checkpoint", "{ckpt}", "--data", "{val}"], "T=0\n", 1, "conf.txt:1: T"),
+    (["gradcheck"], "hidden=0\n", 1, "conf.txt:1: hidden"),
+    (["gradcheck"], "epsilon=0\n", 1, "conf.txt:1: epsilon"),
+    (["train", "--train-data", "{train}", "--val-data", "{val}", "--out-dir", "{tmp}/r"],
+     "mode=foo\n", 1, "conf.txt:1: mode"),
+    (["train", "--train-data", "{train}", "--val-data", "{val}", "--out-dir", "{tmp}/r"],
+     "epochs=0\n", 1, "conf.txt:1: epochs"),
+    (["train", "--train-data", "{train}", "--val-data", "{val}", "--out-dir", "{tmp}/r"],
+     "batch=0\n", 1, "conf.txt:1: batch"),
+    (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6,x", "--out", "{tmp}/s.csv"],
+     None, 1, "--sizes"),
+    (["simulate", "--checkpoint", "{ckpt}", "--drop-edges", "0-x"], None, 1, "--drop-edges"),
+    (["eval", "--checkpoint", "{ckpt}", "--data", "{val}", "--T", "0"], None, 1, "--T"),
+    (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6", "--T", "0", "--out", "{tmp}/s.csv"],
+     None, 1, "--T"),
+    (["simulate", "--checkpoint", "{ckpt}", "--T", "0"], None, 1, "--T"),
+    (["train", "--train-data", "{train}", "--val-data", "{val}", "--T", "0",
+      "--out-dir", "{tmp}/r"], None, 1, "--T"),
+    (["gradcheck", "--hidden", "0"], None, 1, "--hidden"),
+    (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6", "--train-manifest", "{val}",
+      "--out", "{tmp}/s.csv"], None, 2, "val.txt: "),
+    (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6", "--train-manifest",
+      "{tmp}/nokey.json", "--out", "{tmp}/s.csv"], None, 2, "nokey.json: "),
+], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
+        "conf-epochs", "conf-batch", "sizes", "drop-edges",
+        "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
+        "train-manifest-json", "train-manifest-key"])
+def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
+    _, train_file, val_file, run_dir = workspace
+    (tmp_path / "nokey.json").write_text('{"config": {}}\n')
+    names = {"tmp": tmp_path, "train": train_file, "val": val_file,
+             "ckpt": run_dir / "checkpoint.txt"}
+    argv = [a.format(**names) for a in argv]
+    if conf is not None:
+        (tmp_path / "conf.txt").write_text(conf)
+        argv += ["--config", tmp_path / "conf.txt"]
+    assert run(*argv) == code
+    assert where in capsys.readouterr().err
+
+
+# Each command's configurable options, given once as flags and once in a
+# --config file under the flag names without "--".
+FLAG_OR_CONFIG = [
+    ("gen-data", ["--out", "d.txt"],
+     {"count": 5, "n-min": 6, "n-max": 7, "p-min": 0.3, "p-max": 0.9, "seed": 11}),
+    ("train", ["--train-data", "{train}", "--val-data", "{val}", "--out-dir", "r"],
+     {"T": 2, "mode": "global", "hidden": 4, "epochs": 1, "lr": 0.01, "batch": 16, "seed": 3}),
+    ("eval", ["--checkpoint", "{ckpt}", "--data", "{val}", "--out", "e.csv"], {"T": 3}),
+    ("sweep", ["--checkpoint", "{ckpt}", "--out", "s.csv"],
+     {"sizes": "6..7", "per-size": 2, "p-min": 0.3, "p-max": 0.8, "T": 2, "seed": 3}),
+    ("simulate", ["--checkpoint", "{ckpt}", "--out", "rep.csv", "--trace", "t.csv"],
+     {"n": 6, "T": 2, "p-min": 0.3, "p-max": 0.8, "seed": 4}),
+    ("gradcheck", [], {"hidden": 6, "epsilon": 1e-5, "seed": 1}),
+]
+
+
+@pytest.mark.parametrize("command, fixed, opts", FLAG_OR_CONFIG,
+                         ids=[c[0] for c in FLAG_OR_CONFIG])
+def test_config_file_matches_flags(workspace, tmp_path, monkeypatch, capsys,
+                                   command, fixed, opts):
+    _, train_file, val_file, run_dir = workspace
+    names = {"train": train_file, "val": val_file, "ckpt": run_dir / "checkpoint.txt"}
+    fixed = [a.format(**names) for a in fixed]
+    conf = tmp_path / "conf.txt"
+    conf.write_text("".join(f"{key}={value}\n" for key, value in opts.items()))
+    flags = [a for key, value in opts.items() for a in (f"--{key}", value)]
+    runs = []
+    for name, extra in (("flags", flags), ("config", ["--config", conf])):
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        monkeypatch.chdir(out_dir)
+        code = run(command, *fixed, *extra)
+        files = {}
+        for path in sorted(out_dir.rglob("*")):
+            if path.is_file():
+                text = path.read_text()
+                if path.name == "metrics.csv":  # drop the wall-time column
+                    text = [line.rsplit(",", 1)[0] for line in text.splitlines()]
+                files[path.relative_to(out_dir).as_posix()] = text
+        runs.append((code, capsys.readouterr().out, files))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]

@@ -4,11 +4,7 @@ import pytest
 from conftest import complete_graph, path_graph
 from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph
 from fiedler.model import forward, init_params
-from fiedler.simulation import (
-    node_estimate_report,
-    run_simulation,
-    run_simulation_with_drop,
-)
+from fiedler.simulation import node_estimate_report, run_simulation
 from fiedler.spectral import algebraic_connectivity
 
 
@@ -48,14 +44,14 @@ def test_empty_drop_set_is_identity():
     params = init_params(8, seed=5)
     g = rand_graph(712)
     base, _ = run_simulation(params, g, 4)
-    dropped = run_simulation_with_drop(params, g, 4, set(), 1)
+    dropped, _ = run_simulation(params, g, 4, set(), 1)
     assert np.array_equal(dropped, base)
 
 
 def test_dropping_everything_isolates_all_agents():
     params = init_params(8, seed=6)
     g = rand_graph(713)
-    est = run_simulation_with_drop(params, g, 4, set(g.edges), 1)
+    est, _ = run_simulation(params, g, 4, set(g.edges), 1)
     # every agent then evolves identically on an empty inbox
     assert np.max(np.abs(est - est[0])) == 0.0
 
@@ -64,7 +60,7 @@ def test_drop_requires_subset_of_edges():
     params = init_params(8, seed=7)
     g = path_graph(4)
     with pytest.raises(ValueError):
-        run_simulation_with_drop(params, g, 2, {(0, 3)}, 1)
+        run_simulation(params, g, 2, {(0, 3)}, 1)
 
 
 def test_drop_effect_is_confined_to_radius_T():
@@ -72,7 +68,7 @@ def test_drop_effect_is_confined_to_radius_T():
     g = path_graph(10)
     rounds = 2
     base, _ = run_simulation(params, g, rounds)
-    est = run_simulation_with_drop(params, g, rounds, {(0, 1)}, 1)
+    est, _ = run_simulation(params, g, rounds, {(0, 1)}, 1)
     # nodes farther than T from both endpoints cannot notice the drop
     for v in range(10):
         dist = min(abs(v - 0), abs(v - 1))
