@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -196,8 +197,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         value = 0.0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
@@ -290,10 +291,9 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     final_ckpt = out_dir / "checkpoint.txt"
     _guard_output(final_ckpt, args.force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     train_set = load_dataset(args.train_data)
     val_set = load_dataset(args.val_data)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = [g.n for g in train_set.graphs()]
 
     params, metrics = train(config, train_set, val_set, checkpoint_dir=out_dir)
@@ -447,18 +447,19 @@ GRADCHECK_INSTANCES = {
 def _cmd_gradcheck(args) -> int:
     ok = True
     for mode in ("local", "global"):
-        worst = 0.0
+        errs = []
         for i, (n, rounds, graph_seed, param_seed) in enumerate(GRADCHECK_INSTANCES[mode]):
             cfg = GraphGenConfig(
                 n_range=(n, n), p_range=(0.5, 0.9), seed=graph_seed + args.seed
             )
             g = generate_connected_graph(cfg, 0)
             params = init_params(args.hidden, param_seed + args.seed)
-            err = grad_check(
+            errs.append(grad_check(
                 params, g, rounds, mode, epsilon=args.epsilon,
                 corrupt=args.corrupt and i == 0,
-            )
-            worst = max(worst, err)
+            ))
+        # a NaN error measured nothing: it fails instead of losing to max()
+        worst = math.nan if any(map(math.isnan, errs)) else max(errs)
         passed = worst <= GRADCHECK_TOL
         ok = ok and passed
         print(
@@ -542,7 +543,8 @@ def build_parser() -> _Parser:
     option(p, "--p-min", float, 0.16)
     option(p, "--p-max", float, 0.95)
     p.add_argument("--drop-edges", help="edges to silence, e.g. 0-1,2-3")
-    p.add_argument("--drop-from", type=int, help="first round the drop applies to")
+    p.add_argument("--drop-from", type=_positive_int,
+                   help="first round the drop applies to")
     p.add_argument("--trace", help="write per-message trace CSV here")
     p.add_argument("--out", help="write the per-node report CSV here")
 

@@ -11,9 +11,11 @@ differences coordinate by coordinate.
 
 Any number of graphs can be processed as one block-diagonal stack; the public
 single-graph API is a stack of size one. The stack's adjacency is built from
-all edges at once, and the GRU rounds run in reused buffers (fresh ones per
-round only for the arrays a cache keeps), in the formulas' operation order, so
-every value is bitwise that of plain allocating numpy expressions.
+all edges at once. Without a cache the GRU rounds run in reused buffers; with
+one, every round's gates, candidate, reset state and new state are views into
+a single block allocated once per pass. Either way the arithmetic follows the
+formulas' operation order, so every value is bitwise that of plain allocating
+numpy expressions.
 """
 
 from __future__ import annotations
@@ -351,31 +353,31 @@ def forward_stack(
 
     Returns (estimates, cache); estimates has one entry per node (local) or
     per graph (global). cache is None when ``want_cache`` is false.
+
+    With a cache, one ``(rounds, 5, rows, H)`` block is allocated up front and
+    round t writes its z, r, c, ``r * state`` and new state into the views
+    ``block[t]``, so the cache's per-round lists hold views into that block
+    (the messages, produced by the sparse product, are separate arrays).
+    Without a cache, two state buffers take turns and the gates are reused.
     """
     _check_mode(mode)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    x = initial_state(stack.n_total, params.hidden_size)
+    x = x0 = initial_state(stack.n_total, params.hidden_size)
     scratch = np.empty(x.shape)
-    if not want_cache:
+    if want_cache:
+        block = np.empty((rounds, 5, *x.shape))
+    else:
         z, r, c, rs, spare = np.empty((5, *x.shape))
-    states = [x]
-    messages, update_gates, reset_gates, candidates, reset_states = [], [], [], [], []
+    messages = []
     with np.errstate(over="ignore"):
-        for _ in range(rounds):
+        for t in range(rounds):
             m = stack.adjacency @ np.matmul(x, params.w_msg.T, out=scratch)
             if want_cache:
-                # the cache keeps every round's arrays, so each round gets new ones
-                z, r, c, rs, spare = np.empty((5, *x.shape))
+                messages.append(m)
+                z, r, c, rs, spare = block[t]
             _gru_step(params.gru, x, m, spare, z, r, c, rs, scratch)
             x, spare = spare, x
-            if want_cache:
-                messages.append(m)
-                update_gates.append(z)
-                reset_gates.append(r)
-                candidates.append(c)
-                reset_states.append(rs)
-                states.append(x)
 
     if mode == "local":
         readout_input = x
@@ -391,12 +393,12 @@ def forward_stack(
         mode=mode,
         rounds=rounds,
         stack=stack,
-        states=states,
+        states=[x0, *block[:, 4]],
         messages=messages,
-        update_gates=update_gates,
-        reset_gates=reset_gates,
-        candidates=candidates,
-        reset_states=reset_states,
+        update_gates=list(block[:, 0]),
+        reset_gates=list(block[:, 1]),
+        candidates=list(block[:, 2]),
+        reset_states=list(block[:, 3]),
         readout_input=readout_input,
         readout_preact=preact,
         readout_hidden=hidden,
@@ -604,9 +606,11 @@ def grad_check(
 
     Each coordinate is perturbed in place in a private flat copy of ``params``
     that one set of probe parameters views; ``params`` itself is never written.
+    Returns NaN as soon as one coordinate's error is NaN (say, from a
+    non-finite loss): such a check measured nothing and must not pass.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be finite and positive")
     _check_mode(mode)
     if target is None:
         target = algebraic_connectivity(g)
@@ -640,6 +644,8 @@ def grad_check(
         numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
         a = analytic[idx]
         rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        if math.isnan(rel):
+            return rel
         if rel > worst:
             worst = rel
     return worst
@@ -668,8 +674,8 @@ def save_params(
         shape = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {shape}")
         rows = arr if arr.ndim == 2 else arr[None, :]
-        for row in rows:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
+        row_format = " ".join(["%.17g"] * rows.shape[1])
+        lines.extend(row_format % tuple(row) for row in rows.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -208,7 +208,8 @@ def train(
     Each epoch shuffles the training set with a seeded permutation, steps Adam
     on the mean per-graph squared loss of each batch, evaluates the validation
     set, and (when ``checkpoint_dir`` is given) writes an epoch checkpoint.
-    Aborts with RuntimeError on a non-finite loss.
+    At most one batch's forward cache is alive at any time. Aborts with
+    RuntimeError on a non-finite loss.
     """
     if not train_set.items or not val_set.items:
         raise ValueError("datasets must be non-empty")
@@ -254,6 +255,9 @@ def train(
                 config.adam_beta2,
                 config.adam_epsilon,
             )
+            # the next batch's forward pass allocates a cache of its own;
+            # holding this one until then would keep two alive at once
+            del cache, grads
             loss_sum += loss * len(batch)
         train_l2 = loss_sum / len(items)
         val_l1, val_l2 = evaluate(params, val_set, config.rounds, config.mode)

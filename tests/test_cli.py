@@ -84,6 +84,12 @@ def test_train_usage_and_missing_file_errors(tmp_path, workspace):
                "--epochs", 0, "--out-dir", out) == 1
     assert run("train", "--train-data", tmp_path / "nope.txt", "--val-data",
                val_file, "--out-dir", out) == 2
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a dataset\n")
+    assert run("train", "--train-data", train_file, "--val-data", bad,
+               "--out-dir", out) == 2
+    # the datasets are read before the run directory is made
+    assert not out.exists()
 
 
 def test_eval_matches_final_metrics_row(workspace, capsys):
@@ -248,6 +254,15 @@ def test_gradcheck_corrupt_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_gradcheck_nan_error_fails(monkeypatch, capsys):
+    """One NaN error among finite ones fails its mode instead of losing to max()."""
+    errors = iter([0.0, float("nan")] + [0.0] * 10)
+    monkeypatch.setattr("fiedler.cli.grad_check", lambda *a, **k: next(errors))
+    assert run("gradcheck") == 2
+    out = capsys.readouterr().out
+    assert "mode=local max_rel_err=nan" in out and out.count("FAIL") == 1
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -303,10 +318,16 @@ def test_unknown_flag_is_usage_error():
       "--out", "{tmp}/s.csv"], None, 2, "val.txt: "),
     (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6", "--train-manifest",
       "{tmp}/nokey.json", "--out", "{tmp}/s.csv"], None, 2, "nokey.json: "),
+    (["simulate", "--checkpoint", "{ckpt}", "--drop-from", "0"], None, 1, "--drop-from"),
+    (["simulate", "--checkpoint", "{ckpt}", "--drop-from", "-3"], None, 1, "--drop-from"),
+    (["gradcheck", "--epsilon", "nan"], None, 1, "--epsilon"),
+    (["gradcheck", "--epsilon", "inf"], None, 1, "--epsilon"),
+    (["gradcheck"], "epsilon=nan\n", 1, "conf.txt:1: epsilon"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
         "conf-epochs", "conf-batch", "sizes", "drop-edges",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
-        "train-manifest-json", "train-manifest-key"])
+        "train-manifest-json", "train-manifest-key", "drop-from-0", "drop-from-negative",
+        "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan"])
 def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
     _, train_file, val_file, run_dir = workspace
     (tmp_path / "nokey.json").write_text('{"config": {}}\n')

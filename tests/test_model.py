@@ -465,6 +465,21 @@ def test_forward_is_deterministic_bitwise():
     assert np.array_equal(a, b)
 
 
+def test_forward_cache_rounds_are_views_into_one_block():
+    p = init_params(6, seed=0)
+    stack = build_stack([path_graph(4), cycle_graph(5)])
+    _, cache = forward_stack(p, stack, 3, "local")
+    per_round = (cache.update_gates, cache.reset_gates, cache.candidates,
+                 cache.reset_states, cache.states[1:])
+    block = cache.update_gates[0].base
+    assert block.shape == (3, 5, 9, 6)
+    for slot, arrays in enumerate(per_round):
+        for t, a in enumerate(arrays):
+            assert a.base is block
+            assert a.ctypes.data == block[t, slot].ctypes.data
+    assert cache.states[0].base is not block
+
+
 def test_forward_cache_records_all_steps():
     p = init_params(6, seed=0)
     g = path_graph(4)
@@ -648,8 +663,19 @@ def test_grad_check_is_bitwise_equal_to_copying_reference(mode, index, kwargs):
 
 def test_grad_check_epsilon_validation():
     p = init_params(4, seed=0)
-    with pytest.raises(ValueError):
-        grad_check(p, path_graph(3), 2, "local", epsilon=0.0)
+    for epsilon in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            grad_check(p, path_graph(3), 2, "local", epsilon=epsilon)
+
+
+def test_grad_check_nan_error_is_returned():
+    """An infinite target makes every finite difference inf - inf = NaN; the
+    check then reports NaN, which fails any tolerance, instead of 0.0."""
+    p = init_params(4, seed=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        worst = grad_check(p, path_graph(3), 2, "local", target=math.inf)
+    assert math.isnan(worst)
+    assert not worst <= 1e-5
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -669,6 +695,39 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "ckpt2.txt"
     save_params(loaded, path2, mode="local", rounds=8)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _save_params_per_value(params, path, mode=None, rounds=None):
+    """Reference: the writer that formatted each value with its own f-string."""
+    header = f"{model.CHECKPOINT_MAGIC} {model.CHECKPOINT_VERSION} H={params.hidden_size}"
+    if mode is not None:
+        header += f" mode={mode}"
+    if rounds is not None:
+        header += f" T={int(rounds)}"
+    lines = [header]
+    for name, arr in model.param_tensors(params):
+        lines.append(f"tensor {name} " + " ".join(str(d) for d in arr.shape))
+        for row in arr if arr.ndim == 2 else arr[None, :]:
+            lines.append(" ".join(f"{v:.17g}" for v in row))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_save_params_bytes_match_per_value_reference(tmp_path):
+    h = 5
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, 0.1 + 0.2, -1.0 / 3.0]
+    vec = np.random.default_rng(8).normal(scale=10.0, size=param_count(h))
+    vec[:len(specials)] = specials
+    vec[-len(specials):] = specials  # reaches readout_global.b2, a 1-vector row
+    p = unflatten_params(vec, h)
+    for kwargs in ({}, {"mode": "global", "rounds": 3}):
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        save_params(p, got, **kwargs)
+        _save_params_per_value(p, want, **kwargs)
+        assert got.read_bytes() == want.read_bytes()
+        loaded, _ = load_params(got)
+        assert flatten_params(loaded).tobytes() == vec.tobytes()
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):

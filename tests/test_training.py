@@ -1,10 +1,20 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import complete_graph
 from fiedler.data import Dataset, generate_dataset
 from fiedler.graphs import GraphGenConfig, generate_connected_graph
-from fiedler.model import flatten_params, init_params, param_count, unflatten_params
+from fiedler.model import (
+    build_stack,
+    flatten_params,
+    forward_stack,
+    init_params,
+    param_count,
+    unflatten_params,
+)
 from fiedler.spectral import algebraic_connectivity
 from fiedler.training import (
     AdamState,
@@ -236,6 +246,33 @@ def test_divergence_aborts_with_diagnostic(tiny_sets):
                          learning_rate=1e200, batch_size=16, seed=10)
     with pytest.raises(RuntimeError, match="diverged"):
         train(config, train_ds, val_ds)
+
+
+def test_train_keeps_one_forward_cache_alive():
+    """A batch's cache is released before the next batch's forward pass, so a
+    two-batch epoch peaks below the bytes of two caches (T=8, H=32, 128 graphs
+    of 10 nodes per batch: one cache is about 15 MiB)."""
+    cfg = GraphGenConfig(n_range=(10, 10), p_range=(0.3, 0.7), seed=601)
+    train_ds = generate_dataset(cfg, 256)
+    val_ds = generate_dataset(replace(cfg, seed=602), 8)
+    config = TrainConfig(rounds=8, mode="local", hidden_size=32, epochs=1,
+                         batch_size=128, seed=4)
+    stack = build_stack(train_ds.graphs()[:128])
+    _, cache = forward_stack(init_params(32, 4), stack, 8, "local")
+    cache_bytes = sum(
+        a.nbytes
+        for name in ("states", "messages", "update_gates", "reset_gates",
+                     "candidates", "reset_states")
+        for a in getattr(cache, name)
+    )
+    del cache
+    tracemalloc.start()
+    try:
+        train(config, train_ds, val_ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cache_bytes
 
 
 def test_train_rejects_empty_dataset():
