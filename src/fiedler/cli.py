@@ -89,10 +89,14 @@ def _env_seed() -> int:
 
 def _resolve_options(args) -> None:
     """Give every configurable flag left unset its config-file value, cast
-    with the flag's own type, or else its default."""
+    with the flag's own type, or else its default. ``args.origins`` maps each
+    flag name to where its value came from, for messages about it."""
     conf = _load_config_file(args.config) if args.config else {}
+    args.origins = {}
     for action, key, default in args.options:
-        if getattr(args, action.dest) is not None:
+        value = getattr(args, action.dest)
+        if value is not None:
+            args.origins[key] = f"--{key} {value}"
             continue
         if key in conf:
             text, where = conf[key]
@@ -104,9 +108,26 @@ def _resolve_options(args) -> None:
                 raise UsageError(
                     f"{where}: {key}: expected one of {', '.join(action.choices)}, got {text!r}"
                 )
+            args.origins[key] = f"{where}: {key}={text}"
         else:
             value = default() if callable(default) else default
+            args.origins[key] = f"{key}={value} (default)"
         setattr(args, action.dest, value)
+
+
+def _graph_config(args, n_range, n_keys) -> GraphGenConfig:
+    """The run's graph law from ``n_range`` and ``--p-min``/``--p-max``; a range
+    no run can use is a usage error naming where its flags were set."""
+    cfg = GraphGenConfig(seed=args.seed)
+    ranges = (("n_range", n_range, n_keys),
+              ("p_range", (args.p_min, args.p_max), ("p-min", "p-max")))
+    for field, value, keys in ranges:
+        try:
+            cfg = dataclasses.replace(cfg, **{field: value})
+        except ValueError as exc:
+            where = ", ".join(args.origins[key] for key in keys)
+            raise UsageError(f"{where}: {exc}") from exc
+    return cfg
 
 
 def _guard_output(path: Path, force: bool) -> None:
@@ -252,13 +273,7 @@ def _train_n_range(path: Path) -> tuple[int, int]:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        cfg = GraphGenConfig(
-            n_range=(args.n_min, args.n_max), p_range=(args.p_min, args.p_max), seed=args.seed
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
+    cfg = _graph_config(args, (args.n_min, args.n_max), ("n-min", "n-max"))
     out = Path(args.out)
     _guard_output(out, args.force)
     ds = generate_dataset(cfg, args.count)
@@ -330,7 +345,7 @@ def _cmd_eval(args) -> int:
     print(f"l1={mean_l1:.17g} l2={mean_l2:.17g}")
     if args.out:
         _write_run(
-            args, 0, {"T": rounds, "mode": mode}, [args.checkpoint, args.data],
+            args, args.seed, {"T": rounds, "mode": mode}, [args.checkpoint, args.data],
             [(Path(args.out), f"l1,l2\n{mean_l1:.17g},{mean_l2:.17g}\n")],
         )
     return EXIT_OK
@@ -352,12 +367,7 @@ def _cmd_sweep(args) -> int:
     )
     n_lo, n_hi = _train_n_range(manifest_path)
 
-    try:
-        gen_cfg = GraphGenConfig(
-            n_range=(min(sizes), max(sizes)), p_range=(args.p_min, args.p_max), seed=args.seed
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    gen_cfg = _graph_config(args, (min(sizes), max(sizes)), ("sizes",))
     rows = generalization_sweep(params, sizes, args.per_size, gen_cfg, rounds, mode)
 
     lines = ["n,mean_l1,count,in_train_range"]
@@ -383,12 +393,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params, _, rounds = _resolve_checkpoint(args, local_only=True)
-    try:
-        cfg = GraphGenConfig(
-            n_range=(args.n, args.n), p_range=(args.p_min, args.p_max), seed=args.seed
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _graph_config(args, (args.n, args.n), ("n",))
     g = generate_connected_graph(cfg, 0)
 
     dropped = _parse_edges(args.drop_edges) if args.drop_edges else ()
@@ -484,16 +489,12 @@ def build_parser() -> _Parser:
         action = p.add_argument(flag, type=type, **kwargs)
         p.get_default("options").append((action, flag[2:], default))
 
-    def command(name, func, help, seeded=True):
+    def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.set_defaults(func=func, options=[])
-        seed_help = "RNG seed (fallback: FIEDLER_SEED, then 0)"
-        if seeded:
-            option(p, "--seed", int, _env_seed, help=seed_help)
-        else:
-            p.add_argument("--seed", type=int, help=seed_help)
+        option(p, "--seed", int, _env_seed, help="RNG seed (fallback: FIEDLER_SEED, then 0)")
         return p
 
     p = command("gen-data", _cmd_gen_data, "generate a labeled random-graph dataset")
@@ -515,8 +516,7 @@ def build_parser() -> _Parser:
     option(p, "--batch", _positive_int, 256)
     p.add_argument("--out-dir", required=True)
 
-    p = command("eval", _cmd_eval, "mean errors of a checkpoint on a dataset",
-                seeded=False)
+    p = command("eval", _cmd_eval, "mean errors of a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     option(p, "--T", _positive_int, None, dest="rounds")

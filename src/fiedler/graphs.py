@@ -82,10 +82,13 @@ class GraphGenConfig:
     def __post_init__(self):
         lo, hi = self.n_range
         if not (MIN_NODES <= lo <= hi <= MAX_NODES):
-            raise ValueError(f"n_range {self.n_range} outside [{MIN_NODES}, {MAX_NODES}]")
+            raise ValueError(
+                f"n_range {self.n_range} is not an ordered range within "
+                f"[{MIN_NODES}, {MAX_NODES}]"
+            )
         p_lo, p_hi = self.p_range
         if not (0.0 < p_lo <= p_hi <= 1.0):
-            raise ValueError(f"p_range {self.p_range} not within (0, 1]")
+            raise ValueError(f"p_range {self.p_range} is not an ordered range within (0, 1]")
 
 
 def is_connected(g: Graph) -> bool:

@@ -16,6 +16,12 @@ one, every round's gates, candidate, reset state and new state are views into
 a single block allocated once per pass. Either way the arithmetic follows the
 formulas' operation order, so every value is bitwise that of plain allocating
 numpy expressions.
+
+The finite-difference check runs its probes in batches: a stack of copies of
+one graph, each copy with its own parameter set, where every weight product is
+one batched matmul over the copies. Batched matmul gives each copy the bits of
+its own 2-D product and the sparse message sum adds each row's neighbours in
+the same order, so every probe's loss is bitwise that of a single-graph pass.
 """
 
 from __future__ import annotations
@@ -144,7 +150,30 @@ def param_views(vec: np.ndarray, hidden_size: int) -> ModelParams:
             f"expected {param_count(hidden_size)} float64 coordinates for "
             f"H={hidden_size}, got {vec.dtype} shape {vec.shape}"
         )
-    v = {name: vec[sl].reshape(shape) for name, sl, shape in _layout(hidden_size)}
+    return _assemble(
+        {name: vec[sl].reshape(shape) for name, sl, shape in _layout(hidden_size)},
+        hidden_size,
+    )
+
+
+def _probe_views(block: np.ndarray, hidden_size: int) -> ModelParams:
+    """Parameters of K probes whose tensors view the rows of a ``(K, P)`` block.
+
+    Matrices are ``(K, H, H)``, biases ``(K, 1, H)``, the readouts' ``w2``
+    ``(K, H, 1)`` and ``b2`` ``(K, 1, 1)``, so each broadcasts against, or
+    multiplies, ``(K, rows, H)`` states probe by probe.
+    """
+    k, h = block.shape[0], hidden_size
+    shapes = {"hh": (k, h, h), "h": (k, 1, h), "scalar": (k, 1, 1)}
+    views = {}
+    for (name, sl, _), (_, kind) in zip(_layout(h), _TENSOR_SPECS):
+        shape = (k, h, 1) if name.endswith(".w2") else shapes[kind]
+        views[name] = block[:, sl].reshape(shape)
+    return _assemble(views, h)
+
+
+def _assemble(v: dict, hidden_size: int) -> ModelParams:
+    """ModelParams from a ``name -> tensor`` map in ``_TENSOR_SPECS`` names."""
 
     def group(cls, prefix: str):
         return cls(**{f.name: v[f"{prefix}.{f.name}"] for f in fields(cls)})
@@ -286,6 +315,12 @@ class ForwardCache:
     estimates: np.ndarray
 
 
+def _t(w: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes: ``w.T`` for a matrix, per probe for a
+    ``(K, H, H)`` stack of them (``.mT`` needs numpy 2)."""
+    return w.swapaxes(-1, -2)
+
+
 def _gru_step(
     gru: GruParams,
     states: np.ndarray,
@@ -307,11 +342,16 @@ def _gru_step(
     per gate and ``(1 - z) * states + z * c``. ``exp`` overflows to inf for
     very negative gate inputs, giving the correct limit 0; the caller silences
     that warning once per pass.
+
+    States are ``(rows, H)`` with ``(H, H)`` weights and ``(H,)`` biases, or
+    ``(K, rows, H)`` with the ``(K, H, H)`` weights and ``(K, 1, H)`` biases
+    of ``_probe_views``: one batched product per gate term, each probe's rows
+    with its own weights.
     """
     gates = ((z, gru.w_z, gru.u_z, gru.b_z), (r, gru.w_r, gru.u_r, gru.b_r))
     for gate, w, u, b in gates:
-        np.matmul(messages, w.T, out=gate)
-        np.matmul(states, u.T, out=scratch)
+        np.matmul(messages, _t(w), out=gate)
+        np.matmul(states, _t(u), out=scratch)
         np.add(gate, scratch, out=gate)
         np.add(gate, b, out=gate)
         np.negative(gate, out=gate)
@@ -319,8 +359,8 @@ def _gru_step(
         np.add(1.0, gate, out=gate)
         np.divide(1.0, gate, out=gate)
     np.multiply(r, states, out=reset_state)
-    np.matmul(messages, gru.w_c.T, out=c)
-    np.matmul(reset_state, gru.u_c.T, out=scratch)
+    np.matmul(messages, _t(gru.w_c), out=c)
+    np.matmul(reset_state, _t(gru.u_c), out=scratch)
     np.add(c, scratch, out=c)
     np.add(c, gru.b_c, out=c)
     np.tanh(c, out=c)
@@ -331,7 +371,7 @@ def _gru_step(
 
 
 def _readout_rows(ro: ReadoutParams, x: np.ndarray):
-    preact = x @ ro.w1.T + ro.b1
+    preact = x @ _t(ro.w1) + ro.b1
     hidden = np.maximum(preact, 0.0)
     estimates = hidden @ ro.w2 + ro.b2
     return estimates, preact, hidden
@@ -587,6 +627,49 @@ def backward(
     return backward_stack(params, cache, np.array([float(target)]))
 
 
+# Bytes of the (probes, P) parameter block one grad_check chunk evaluates in a
+# single batched forward pass: two probes (+epsilon, -epsilon) per coordinate.
+# Larger blocks spread the per-call overhead over more probes but raise peak
+# memory; this size gives 51 coordinates per chunk at H=8 and 3 at H=32, where
+# checking every coordinate at once would take a 1.4 GB block.
+GRADCHECK_CHUNK_BYTES = 1 << 19
+
+
+def _probe_losses(
+    block: np.ndarray,
+    stack: GraphStack,
+    target: float,
+    rounds: int,
+    mode: str,
+    hidden_size: int,
+) -> np.ndarray:
+    """Loss of each row of a ``(K, P)`` parameter block on its own copy of a
+    graph against ``target``: ``stack`` holds K copies of the graph, and copy
+    k runs with row k.
+
+    The same operations as ``forward_stack`` without a cache and
+    ``stack_losses``, batched over the probes, so every loss is bitwise the
+    one a single-graph pass with that row's parameters gives.
+    """
+    k, h = block.shape[0], hidden_size
+    probe = _probe_views(block, h)
+    x = initial_state(stack.n_total, h).reshape(k, -1, h)
+    scratch = np.empty(x.shape)
+    z, r, c, rs, spare = np.empty((5, *x.shape))
+    with np.errstate(over="ignore"):
+        for _ in range(rounds):
+            np.matmul(x, _t(probe.w_msg), out=scratch)
+            m = (stack.adjacency @ scratch.reshape(-1, h)).reshape(x.shape)
+            _gru_step(probe.gru, x, m, spare, z, r, c, rs, scratch)
+            x, spare = spare, x
+    if mode == "local":
+        estimates, _, _ = _readout_rows(probe.readout_local, x)
+    else:
+        pooled = _segment_mean(x.reshape(-1, h), stack)[:, None, :]
+        estimates, _, _ = _readout_rows(probe.readout_global, pooled)
+    return stack_losses(estimates.ravel(), stack, np.full(k, target), mode)
+
+
 def grad_check(
     params: ModelParams,
     g: Graph,
@@ -604,10 +687,14 @@ def grad_check(
     random subset (never fewer than 500 coordinates). ``corrupt`` deliberately
     damages one analytic gradient entry, for validating the detector itself.
 
-    Each coordinate is perturbed in place in a private flat copy of ``params``
-    that one set of probe parameters views; ``params`` itself is never written.
-    Returns NaN as soon as one coordinate's error is NaN (say, from a
-    non-finite loss): such a check measured nothing and must not pass.
+    The probes run in chunks of coordinates: each chunk copies the flat
+    parameters once per probe into a block of at most GRADCHECK_CHUNK_BYTES,
+    moves each probe's coordinate by +epsilon or -epsilon, and evaluates every
+    probe's loss in one batched forward pass (``_probe_losses``). Each loss,
+    and so the result, is bitwise the one of a separate single-graph pass per
+    probe; ``params`` itself is never written. Returns NaN when one
+    coordinate's error is NaN (say, from a non-finite loss): such a check
+    measured nothing and must not pass.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
@@ -616,9 +703,8 @@ def grad_check(
         target = algebraic_connectivity(g)
 
     stack = build_stack([g])
-    targets = np.array([float(target)])
     _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
-    _, grads = backward_stack(params, cache, targets)
+    _, grads = backward_stack(params, cache, np.array([float(target)]))
 
     analytic = flatten_params(grads)
     theta = flatten_params(params)
@@ -632,22 +718,31 @@ def grad_check(
         analytic = analytic.copy()
         analytic[coords[0]] += 1.0
 
-    probe = param_views(theta, params.hidden_size)
+    per_chunk = min(coords.size, max(1, GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)))
+    block = np.empty((2 * per_chunk, total))
+    stacks: dict[int, GraphStack] = {}
     worst = 0.0
-    for idx in coords:
-        saved = theta[idx]
-        theta[idx] = saved + epsilon
-        loss_plus = stack_loss(probe, stack, targets, rounds, mode)
-        theta[idx] = saved - epsilon
-        loss_minus = stack_loss(probe, stack, targets, rounds, mode)
-        theta[idx] = saved
-        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+    for start in range(0, coords.size, per_chunk):
+        idx = coords[start : start + per_chunk]
+        k = idx.size
+        if k not in stacks:
+            stacks[k] = build_stack([g] * (2 * k))
+        probes = block[: 2 * k]
+        probes[:] = theta
+        rows = np.arange(k)
+        probes[rows, idx] = theta[idx] + epsilon
+        probes[k + rows, idx] = theta[idx] - epsilon
+        losses = _probe_losses(probes, stacks[k], float(target), rounds, mode,
+                               params.hidden_size)
+        numeric = (losses[:k] - losses[k:]) / (2.0 * epsilon)
         a = analytic[idx]
-        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        if math.isnan(rel):
-            return rel
-        if rel > worst:
-            worst = rel
+        rel = np.abs(a - numeric) / np.maximum(1e-8, np.abs(a) + np.abs(numeric))
+        nan = np.isnan(rel)
+        if nan.any():
+            return rel[nan.argmax()]
+        top = rel.max()
+        if top > worst:
+            worst = top
     return worst
 
 

@@ -116,6 +116,26 @@ def test_eval_error_paths(workspace, tmp_path):
                "--hidden", 16) == 1
 
 
+def test_eval_records_resolved_seed(workspace, tmp_path, monkeypatch):
+    """eval resolves --seed like every command: flag, config, FIEDLER_SEED, 0."""
+    _, _, val_file, run_dir = workspace
+    base = ["eval", "--checkpoint", run_dir / "checkpoint.txt", "--data", val_file]
+    conf = tmp_path / "conf.txt"
+    conf.write_text("seed=9\n")
+    monkeypatch.delenv("FIEDLER_SEED", raising=False)
+    cases = [("flag", ["--seed", 5], {}, 5), ("config", ["--config", conf], {}, 9),
+             ("env", [], {"FIEDLER_SEED": "7"}, 7), ("none", [], {}, 0)]
+    for name, extra, env, seed in cases:
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / f"{name}.csv"
+        assert run(*base, *extra, "--out", out) == 0
+        manifest = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+        assert manifest["seed"] == seed, name
+        for key in env:
+            monkeypatch.delenv(key)
+
+
 def _nan_first_weight(text):
     lines = text.splitlines()
     lines[2] = "nan " + lines[2].split(" ", 1)[1]
@@ -323,11 +343,22 @@ def test_unknown_flag_is_usage_error():
     (["gradcheck", "--epsilon", "nan"], None, 1, "--epsilon"),
     (["gradcheck", "--epsilon", "inf"], None, 1, "--epsilon"),
     (["gradcheck"], "epsilon=nan\n", 1, "conf.txt:1: epsilon"),
+    (["gen-data", "--n-min", "2", "--out", "{tmp}/d.txt"], None, 1, "--n-min 2"),
+    (["gen-data", "--out", "{tmp}/d.txt"], "seed=3\nn-min=2\n", 1, "conf.txt:2: n-min=2"),
+    (["gen-data", "--p-min", "0.9", "--p-max", "0.5", "--out", "{tmp}/d.txt"], None, 1,
+     "--p-min 0.9, --p-max 0.5"),
+    (["gen-data", "--out", "{tmp}/d.txt"], "p-min=0.99\n", 1,
+     "conf.txt:1: p-min=0.99, p-max=0.95 (default)"),
+    (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6", "--p-min", "0.9", "--p-max", "0.5",
+      "--out", "{tmp}/s.csv"], None, 1, "--p-min 0.9, --p-max 0.5"),
+    (["simulate", "--checkpoint", "{ckpt}", "--n", "2"], None, 1, "--n 2"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
         "conf-epochs", "conf-batch", "sizes", "drop-edges",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
         "train-manifest-json", "train-manifest-key", "drop-from-0", "drop-from-negative",
-        "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan"])
+        "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan",
+        "n-min-flag", "conf-n-min", "p-order-flags", "conf-p-min", "sweep-p-order",
+        "simulate-n"])
 def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
     _, train_file, val_file, run_dir = workspace
     (tmp_path / "nokey.json").write_text('{"config": {}}\n')

@@ -1,13 +1,15 @@
 import itertools
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import complete_graph, cycle_graph, path_graph
 from fiedler import model
@@ -659,6 +661,69 @@ def test_grad_check_is_bitwise_equal_to_copying_reference(mode, index, kwargs):
     assert grad_check(q, g, rounds, mode, **kwargs) == got
     assert flatten_params(q).tobytes() == before
     assert got.hex() == _grad_check_copying(p, g, rounds, mode, **kwargs).hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=st.integers(1, 8), n=st.integers(3, 8), rounds=st.integers(1, 3),
+       mode=st.sampled_from(MODES), seed=st.integers(0, 10_000),
+       sample=st.sampled_from([None, 500]), corrupt=st.booleans(),
+       per_chunk=st.integers(2, 17))
+@example(h=1, n=3, rounds=1, mode="local", seed=0, sample=None, corrupt=False, per_chunk=5)
+@example(h=8, n=8, rounds=3, mode="global", seed=1, sample=500, corrupt=True, per_chunk=17)
+def test_grad_check_probe_batch_is_bitwise_equal_to_copying_reference(
+        h, n, rounds, mode, seed, sample, corrupt, per_chunk):
+    """Every chunk size gives the reference's result bit for bit: ``per_chunk``
+    coordinates (never a divisor of the count, so a shorter tail chunk runs),
+    one coordinate per chunk, and every coordinate in one chunk."""
+    total = param_count(h)
+    checked = total if sample is None or 500 >= total else 500
+    assume(checked % per_chunk != 0)
+    g = rand_graph(seed, n, n)
+    p = _perturbed_params(h, seed)
+    kwargs = {"sample": sample, "sample_seed": seed, "corrupt": corrupt}
+    want = _grad_check_copying(p, g, rounds, mode, **kwargs).hex()
+    for budget in (2 * per_chunk * 8 * total, 1, 1 << 62):
+        with mock.patch.object(model, "GRADCHECK_CHUNK_BYTES", budget):
+            assert grad_check(p, g, rounds, mode, **kwargs).hex() == want, budget
+
+
+@pytest.mark.parametrize("h", [1, 4, 8, 16, 32])
+def test_batched_matmul_is_bitwise_equal_to_per_item_products(h):
+    """The platform property the probe batch rests on: numpy's batched matmul
+    gives each item exactly the bits of its own 2-D product, for weights viewed
+    from the rows of a parameter block as ``_probe_views`` views them, with
+    and without ``out=``, and for the ``(K, H, 1)`` readout column."""
+    k = 5
+    rng = np.random.default_rng(h)
+    block = rng.normal(size=(k, param_count(h)))
+    w = block[:, 1 : 1 + h * h].reshape(k, h, h)
+    col = block[:, -1 - h : -1].reshape(k, h, 1)
+    for n in (1, 2, 3, 4, 5, 6, 10, 33):
+        x = rng.normal(size=(k, n, h))
+        out = np.empty((k, n, h))
+        np.matmul(x, w.swapaxes(-1, -2), out=out)
+        batched, column = x @ w.swapaxes(-1, -2), x @ col
+        for i in range(k):
+            want = x[i] @ w[i].copy().T
+            assert batched[i].tobytes() == want.tobytes() == out[i].tobytes(), (n, i)
+            assert column[i, :, 0].tobytes() == (x[i] @ col[i, :, 0].copy()).tobytes()
+
+
+def test_grad_check_memory_stays_within_the_chunk_budget():
+    """At H=32 one block for both probes of all 9442 coordinates would take
+    1.4 GB, and one for the 500 sampled here 76 MB. The chunked check peaks
+    below GRADCHECK_CHUNK_BYTES plus 1 MiB, the margin for the flat parameter
+    and gradient vectors (74 KiB each), the chunk's probe states and
+    interpreter free lists."""
+    g = rand_graph(5, 10, 10)
+    p = init_params(32, seed=3)
+    tracemalloc.start()
+    try:
+        grad_check(p, g, 2, "local", sample=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.GRADCHECK_CHUNK_BYTES + (1 << 20)
 
 
 def test_grad_check_epsilon_validation():
