@@ -27,12 +27,10 @@ from .spectral import (
 )
 from .model import (
     ForwardCache,
-    Gradients,
     GraphStack,
     GruParams,
     ModelParams,
     ReadoutParams,
-    backward,
     backward_stack,
     build_stack,
     flatten_params,

@@ -213,14 +213,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _positive_float(text: str, zero_ok: bool = False) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = 0.0
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
     return value
+
+
+def _nonnegative_float(text: str) -> float:
+    return _positive_float(text, zero_ok=True)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -512,7 +517,7 @@ def build_parser() -> _Parser:
     option(p, "--mode", str, "local", choices=("local", "global"))
     option(p, "--hidden", _positive_int, 32)
     option(p, "--epochs", _positive_int, 20)
-    option(p, "--lr", float, 1e-3)
+    option(p, "--lr", _nonnegative_float, 1e-3, help="Adam step size; 0 trains nothing")
     option(p, "--batch", _positive_int, 256)
     p.add_argument("--out-dir", required=True)
 

@@ -85,9 +85,6 @@ class ModelParams:
     readout_global: ReadoutParams
 
 
-# Gradients share the exact container shape of the parameters they differentiate.
-Gradients = ModelParams
-
 # Canonical tensor order: flattening, optimizer state, and checkpoints all use it.
 _TENSOR_SPECS = (
     ("w_msg", "hh"),
@@ -190,10 +187,6 @@ def _assemble(v: dict, hidden_size: int) -> ModelParams:
 def unflatten_params(vec: np.ndarray, hidden_size: int) -> ModelParams:
     """Parameters holding a copy of ``vec``: they never alias the caller's array."""
     return param_views(np.array(vec, dtype=float), hidden_size)
-
-
-def zeros_like_params(params: ModelParams) -> Gradients:
-    return param_views(np.zeros(param_count(params.hidden_size)), params.hidden_size)
 
 
 def init_params(hidden_size: int, seed: int) -> ModelParams:
@@ -478,7 +471,11 @@ def backward_stack(
     cache: ForwardCache,
     targets: np.ndarray,
 ):
-    """Mean squared loss over the stack and its exact parameter gradients."""
+    """Mean squared loss over the stack and its exact parameter gradients.
+
+    Returns (loss, grad) with ``grad`` one flat float64 vector in the
+    canonical tensor order of ``param_views``.
+    """
     stack = cache.stack
     mode = cache.mode
     targets = np.asarray(targets, dtype=float)
@@ -488,7 +485,8 @@ def backward_stack(
     per_graph = stack_losses(cache.estimates, stack, targets, mode)
     loss = float(np.mean(per_graph))
 
-    grads = zeros_like_params(params)
+    grad = np.zeros(param_count(params.hidden_size))
+    grads = param_views(grad, params.hidden_size)
     gru, g_gru = params.gru, grads.gru
 
     # d(mean loss)/d(estimate)
@@ -553,7 +551,7 @@ def backward_stack(
         grads.w_msg += d_sent.T @ x_prev
         dx = dx_prev + d_sent @ params.w_msg
 
-    return loss, grads
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -611,20 +609,6 @@ def forward(params: ModelParams, g: Graph, rounds: int, mode: str):
     if mode == "global":
         return float(estimates[0]), cache
     return estimates, cache
-
-
-def backward(
-    params: ModelParams,
-    g: Graph,
-    cache: ForwardCache,
-    target: float,
-    mode: str,
-):
-    """Squared loss against the true connectivity and its exact gradients."""
-    _check_mode(mode)
-    if cache.mode != mode or cache.stack.graphs != (g,):
-        raise ValueError("cache does not belong to this graph/mode")
-    return backward_stack(params, cache, np.array([float(target)]))
 
 
 # Bytes of the (probes, P) parameter block one grad_check chunk evaluates in a
@@ -704,9 +688,7 @@ def grad_check(
 
     stack = build_stack([g])
     _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
-    _, grads = backward_stack(params, cache, np.array([float(target)]))
-
-    analytic = flatten_params(grads)
+    _, analytic = backward_stack(params, cache, np.array([float(target)]))
     theta = flatten_params(params)
     total = theta.size
     if sample is None or max(sample, 500) >= total:
@@ -715,7 +697,6 @@ def grad_check(
         rng = np.random.default_rng(sample_seed)
         coords = np.sort(rng.choice(total, size=max(sample, 500), replace=False))
     if corrupt:
-        analytic = analytic.copy()
         analytic[coords[0]] += 1.0
 
     per_chunk = min(coords.size, max(1, GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)))

@@ -9,6 +9,7 @@ reduced in fixed graph order, so identical configs give identical checkpoints.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,7 +26,6 @@ from .model import (
     flatten_params,
     forward_stack,
     init_params,
-    param_count,
     param_views,
     save_params,
     stack_losses,
@@ -61,8 +61,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         # zero is allowed: a no-op optimizer is a useful control experiment
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and non-negative")
 
 
 @dataclass
@@ -117,7 +117,9 @@ def write_metrics(metrics: Metrics, path) -> None:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators over the flattened parameter vector."""
+    """First and second moment accumulators over the flat parameter vector,
+    in the canonical tensor order of ``model.param_views``; ``adam_step``
+    updates ``m``, ``v`` and ``step`` in place."""
 
     m: np.ndarray
     v: np.ndarray
@@ -129,27 +131,30 @@ class AdamState:
 
 
 def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
+    theta: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     learning_rate: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     epsilon: float = 1e-8,
-):
-    """One bias-corrected Adam update; returns (new params, new state)."""
-    g = flatten_params(grads)
-    theta = flatten_params(params)
-    if g.shape != state.m.shape or g.shape != theta.shape:
+) -> None:
+    """One bias-corrected Adam update, in place: ``theta``, ``state.m`` and
+    ``state.v`` are overwritten and ``state.step`` counts up, so parameter
+    views of ``theta`` see the new values. ``grad`` and both moments share
+    the layout of ``theta``; the arithmetic is ``beta1*m + (1-beta1)*g``,
+    ``beta2*v + ((1-beta2)*g)*g`` and ``theta - (lr*m_hat)/(sqrt(v_hat)+eps)``.
+    """
+    if grad.shape != state.m.shape or grad.shape != theta.shape:
         raise ValueError("gradient/state shape mismatch")
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    step = state.step + 1
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-    # theta is a fresh array, so the new params may view it without aliasing the inputs
-    return param_views(theta, params.hidden_size), AdamState(m=m, v=v, step=step)
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    state.v *= beta2
+    state.v += (1.0 - beta2) * grad * grad
+    state.step += 1
+    m_hat = state.m / (1.0 - beta1 ** state.step)
+    v_hat = state.v / (1.0 - beta2 ** state.step)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
 
 
 def l1_error(estimates, lambda2: float) -> float:
@@ -208,13 +213,15 @@ def train(
     Each epoch shuffles the training set with a seeded permutation, steps Adam
     on the mean per-graph squared loss of each batch, evaluates the validation
     set, and (when ``checkpoint_dir`` is given) writes an epoch checkpoint.
-    At most one batch's forward cache is alive at any time. Aborts with
-    RuntimeError on a non-finite loss.
+    The parameters are views of one flat vector that Adam updates in place
+    for the whole run, and at most one batch's forward cache is alive at any
+    time. Aborts with RuntimeError on a non-finite loss.
     """
     if not train_set.items or not val_set.items:
         raise ValueError("datasets must be non-empty")
-    params = init_params(config.hidden_size, config.seed)
-    state = AdamState.zeros(param_count(config.hidden_size))
+    theta = flatten_params(init_params(config.hidden_size, config.seed))
+    params = param_views(theta, config.hidden_size)
+    state = AdamState.zeros(theta.size)
     metrics = Metrics()
     items = train_set.items
     started = clock()
@@ -240,24 +247,17 @@ def train(
                 _, cache = forward_stack(
                     params, stack, config.rounds, config.mode, want_cache=True
                 )
-                loss, grads = backward_stack(params, cache, targets)
+                loss, grad = backward_stack(params, cache, targets)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"batch starting at item {start}"
                 )
-            params, state = adam_step(
-                params,
-                grads,
-                state,
-                config.learning_rate,
-                config.adam_beta1,
-                config.adam_beta2,
-                config.adam_epsilon,
-            )
+            adam_step(theta, grad, state, config.learning_rate,
+                      config.adam_beta1, config.adam_beta2, config.adam_epsilon)
             # the next batch's forward pass allocates a cache of its own;
             # holding this one until then would keep two alive at once
-            del cache, grads
+            del cache, grad
             loss_sum += loss * len(batch)
         train_l2 = loss_sum / len(items)
         val_l1, val_l2 = evaluate(params, val_set, config.rounds, config.mode)

@@ -352,13 +352,19 @@ def test_unknown_flag_is_usage_error():
     (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6", "--p-min", "0.9", "--p-max", "0.5",
       "--out", "{tmp}/s.csv"], None, 1, "--p-min 0.9, --p-max 0.5"),
     (["simulate", "--checkpoint", "{ckpt}", "--n", "2"], None, 1, "--n 2"),
+    (["train", "--train-data", "{train}", "--val-data", "{val}", "--lr", "nan",
+      "--out-dir", "{tmp}/r"], None, 1, "--lr"),
+    (["train", "--train-data", "{train}", "--val-data", "{val}", "--lr", "inf",
+      "--out-dir", "{tmp}/r"], None, 1, "--lr"),
+    (["train", "--train-data", "{train}", "--val-data", "{val}", "--out-dir", "{tmp}/r"],
+     "lr=nan\n", 1, "conf.txt:1: lr"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
         "conf-epochs", "conf-batch", "sizes", "drop-edges",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
         "train-manifest-json", "train-manifest-key", "drop-from-0", "drop-from-negative",
         "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan",
         "n-min-flag", "conf-n-min", "p-order-flags", "conf-p-min", "sweep-p-order",
-        "simulate-n"])
+        "simulate-n", "lr-nan", "lr-inf", "conf-lr-nan"])
 def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
     _, train_file, val_file, run_dir = workspace
     (tmp_path / "nokey.json").write_text('{"config": {}}\n')
@@ -370,6 +376,7 @@ def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, con
         argv += ["--config", tmp_path / "conf.txt"]
     assert run(*argv) == code
     assert where in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 # Each command's configurable options, given once as flags and once in a

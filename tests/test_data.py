@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fiedler.data import Dataset, dataset_text, generate_dataset, load_dataset, save_dataset
-from fiedler.graphs import GraphGenConfig, is_connected
+from fiedler.graphs import MIN_NODES, GraphGenConfig, is_connected
 from fiedler.spectral import algebraic_connectivity
 
 
@@ -40,6 +45,25 @@ def test_dataset_file_round_trip(tmp_path, small_dataset):
     path2 = tmp_path / "data2.txt"
     save_dataset(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_lo=st.integers(MIN_NODES, 12),
+    n_span=st.integers(0, 4),
+    p_lo=st.floats(0.2, 0.9),
+    count=st.integers(1, 5),
+)
+def test_dataset_text_round_trip_is_byte_identical(seed, n_lo, n_span, p_lo, count):
+    cfg = GraphGenConfig(n_range=(n_lo, n_lo + n_span), p_range=(p_lo, 0.95), seed=seed)
+    ds = generate_dataset(cfg, count)
+    text = dataset_text(ds)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        save_dataset(ds, path)
+        assert path.read_text() == text
+        assert dataset_text(load_dataset(path, verify=False)) == text
 
 
 def test_regeneration_is_byte_identical():

@@ -19,7 +19,6 @@ from fiedler.model import (
     MODES,
     ForwardCache,
     ModelParams,
-    backward,
     backward_stack,
     build_stack,
     flatten_params,
@@ -32,12 +31,12 @@ from fiedler.model import (
     load_params,
     message_step,
     param_count,
+    param_views,
     readout_global,
     readout_local,
     save_params,
     stack_loss,
     unflatten_params,
-    zeros_like_params,
 )
 from fiedler.spectral import algebraic_connectivity
 
@@ -344,7 +343,7 @@ def test_forward_backward_bitwise_equal_to_allocating_reference(mode, rounds):
     loss, grads = backward_stack(p, cache, targets)
     ref_loss, ref_grads = backward_stack(p, want, targets)
     assert loss.hex() == ref_loss.hex()
-    assert flatten_params(grads).tobytes() == flatten_params(ref_grads).tobytes()
+    assert grads.tobytes() == ref_grads.tobytes()
 
     assert flatten_params(p).tobytes() == params_before
     assert [a.tobytes() for a in (stack.adjacency.data, stack.adjacency.indices,
@@ -504,9 +503,9 @@ def test_backward_zero_error_gives_zero_gradients():
     p = init_params(8, seed=6)
     g = rand_graph(7)
     est, cache = forward(p, g, 2, "global")
-    loss, grads = backward(p, g, cache, est, "global")
+    loss, grads = backward_stack(p, cache, np.array([est]))
     assert loss == 0.0
-    assert np.array_equal(flatten_params(grads), np.zeros(param_count(8)))
+    assert np.array_equal(grads, np.zeros(param_count(8)))
 
 
 def test_backward_b2_gradient_is_mean_residual():
@@ -514,7 +513,8 @@ def test_backward_b2_gradient_is_mean_residual():
     g = rand_graph(8)
     target = 1.25
     est, cache = forward(p, g, 3, "local")
-    loss, grads = backward(p, g, cache, target, "local")
+    loss, grad = backward_stack(p, cache, np.array([target]))
+    grads = param_views(grad, 8)
     assert loss == pytest.approx(np.sum((est - target) ** 2) / (2 * g.n), rel=1e-12)
     assert grads.readout_local.b2 == pytest.approx(
         np.mean(est - target), rel=1e-12
@@ -523,24 +523,13 @@ def test_backward_b2_gradient_is_mean_residual():
     assert np.array_equal(grads.readout_global.w1, np.zeros((8, 8)))
 
 
-def test_backward_rejects_mismatched_cache():
-    p = init_params(8, seed=6)
-    g = rand_graph(9)
-    other = rand_graph(10)
-    _, cache = forward(p, g, 2, "local")
-    with pytest.raises(ValueError):
-        backward(p, other, cache, 1.0, "local")
-    with pytest.raises(ValueError):
-        backward(p, g, cache, 1.0, "global")
-
-
 def test_backward_deterministic_bitwise():
     p = init_params(12, seed=11)
     g = rand_graph(12)
     _, cache = forward(p, g, 4, "local")
-    _, g1 = backward(p, g, cache, 0.7, "local")
-    _, g2 = backward(p, g, cache, 0.7, "local")
-    assert np.array_equal(flatten_params(g1), flatten_params(g2))
+    _, g1 = backward_stack(p, cache, np.array([0.7]))
+    _, g2 = backward_stack(p, cache, np.array([0.7]))
+    assert np.array_equal(g1, g2)
 
 
 def test_stacked_batch_matches_mean_of_single_graphs():
@@ -555,11 +544,11 @@ def test_stacked_batch_matches_mean_of_single_graphs():
         single_grads = np.zeros(param_count(8))
         for g, t in zip(graphs, targets):
             _, c = forward(p, g, 3, mode)
-            loss, grads = backward(p, g, c, t, mode)
+            loss, grads = backward_stack(p, c, np.array([t]))
             single_losses.append(loss)
-            single_grads += flatten_params(grads)
+            single_grads += grads
         assert batch_loss == pytest.approx(np.mean(single_losses), rel=1e-12)
-        assert flatten_params(batch_grads) == pytest.approx(
+        assert batch_grads == pytest.approx(
             single_grads / 3.0, rel=1e-10, abs=1e-12
         )
 
@@ -590,8 +579,8 @@ def test_grad_check_zero_error_instance_uses_floor():
     p = init_params(6, seed=1)
     g = rand_graph(44)
     est, cache = forward(p, g, 2, "global")
-    _, grads = backward(p, g, cache, est, "global")
-    assert np.array_equal(flatten_params(grads), np.zeros(param_count(6)))
+    _, grads = backward_stack(p, cache, np.array([est]))
+    assert np.array_equal(grads, np.zeros(param_count(6)))
     # both sides are ~0; the 1e-8 denominator floor keeps the ratio tame
     # (the numeric side carries O(eps^2) curvature noise, so it is not exact)
     assert grad_check(p, g, 2, "global", target=est) <= 1e-2
@@ -606,8 +595,7 @@ def _grad_check_copying(params, g, rounds, mode, epsilon=1e-5, target=None,
     stack = build_stack([g])
     targets = np.array([float(target)])
     _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
-    _, grads = backward_stack(params, cache, targets)
-    analytic = flatten_params(grads)
+    _, analytic = backward_stack(params, cache, targets)
     theta = flatten_params(params)
     total = theta.size
     if sample is None or max(sample, 500) >= total:

@@ -228,9 +228,26 @@ def test_oracle_agrees_with_lapack_on_generated_graphs(n_range, count, tol):
 def test_random_symmetric_stacks_match_lapack(raw):
     stack = (raw + raw.transpose(0, 2, 1)) / 2.0
     ours = eigenvalues_symmetric(stack)
-    ref = np.linalg.eigvalsh(stack)
+    # LAPACK, not the oracle, goes wrong on entries near 1e-160 (see the test
+    # below), so the reference drops them; by Weyl's bound that moves no
+    # eigenvalue by more than n * 1e-100
+    clean = np.where(np.abs(stack) < 1e-100, 0.0, stack)
+    ref = np.linalg.eigvalsh(clean)
     scale = max(1.0, float(np.abs(stack).max()))
     assert np.max(np.abs(ours - ref)) <= 1e-12 * scale * stack.shape[1]
+
+
+@pytest.mark.parametrize("filler", [1e-160, 9.855e-158])
+def test_tiny_filler_matches_closed_form(filler):
+    """One off-diagonal pair ``a`` has eigenvalues -|a|, 0 (n - 2 times), |a|;
+    a filler of size f moves each by at most n * f. ``eigvalsh`` misses this by
+    0.25 at f = 1e-160 and by 2e-7 at f = 9.855e-158."""
+    a = -35.73805187207643
+    matrix = np.full((6, 6), filler)
+    matrix[0, 2] = matrix[2, 0] = a
+    want = np.array([-abs(a), 0.0, 0.0, 0.0, 0.0, abs(a)])
+    ours = eigenvalues_symmetric(matrix)
+    assert np.max(np.abs(ours - want)) <= 1e-12 * abs(a) * 6
 
 
 def test_solver_leaves_its_input_unchanged():

@@ -1,8 +1,11 @@
 import tracemalloc
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import complete_graph
 from fiedler.data import Dataset, generate_dataset
@@ -66,41 +69,83 @@ def test_global_scalar_uses_half_normalizer():
 # -- Adam ---------------------------------------------------------------------
 
 
+def _fresh_theta(h, seed):
+    return flatten_params(init_params(h, seed))
+
+
 def test_adam_zero_gradient_is_identity():
-    p = init_params(4, seed=0)
+    theta = _fresh_theta(4, seed=0)
+    before = theta.copy()
     state = AdamState.zeros(param_count(4))
-    zeros = unflatten_params(np.zeros(param_count(4)), 4)
-    q, state2 = adam_step(p, zeros, state, learning_rate=0.1)
-    assert np.array_equal(flatten_params(q), flatten_params(p))
-    assert state2.step == 1
+    assert adam_step(theta, np.zeros(param_count(4)), state, learning_rate=0.1) is None
+    assert np.array_equal(theta, before)
+    assert state.step == 1
 
 
 def test_adam_first_step_magnitude_is_lr():
     h = 4
-    p = init_params(h, seed=1)
-    grads = unflatten_params(np.full(param_count(h), 2.0), h)
-    q, _ = adam_step(p, grads, AdamState.zeros(param_count(h)), learning_rate=1e-3)
-    delta = flatten_params(q) - flatten_params(p)
+    theta = _fresh_theta(h, seed=1)
+    before = theta.copy()
+    grad = np.full(param_count(h), 2.0)
+    adam_step(theta, grad, AdamState.zeros(param_count(h)), learning_rate=1e-3)
+    delta = theta - before
     # bias-corrected ratio is ~1 for |g| >> eps, so each step is ~ -lr*sign(g)
     assert np.max(np.abs(delta + 1e-3)) < 1e-9
 
 
 def test_adam_is_deterministic():
     h = 5
-    p = init_params(h, seed=2)
-    g = unflatten_params(np.linspace(-1, 1, param_count(h)), h)
-    s = AdamState.zeros(param_count(h))
-    a1, s1 = adam_step(p, g, s, 1e-2)
-    a2, s2 = adam_step(p, g, s, 1e-2)
-    assert np.array_equal(flatten_params(a1), flatten_params(a2))
+    g = np.linspace(-1, 1, param_count(h))
+    a1, a2 = _fresh_theta(h, seed=2), _fresh_theta(h, seed=2)
+    s1, s2 = AdamState.zeros(param_count(h)), AdamState.zeros(param_count(h))
+    adam_step(a1, g, s1, 1e-2)
+    adam_step(a2, g, s2, 1e-2)
+    assert np.array_equal(a1, a2)
     assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v)
 
 
 def test_adam_shape_mismatch():
-    p = init_params(4, seed=0)
-    g = unflatten_params(np.zeros(param_count(4)), 4)
+    theta = _fresh_theta(4, seed=0)
     with pytest.raises(ValueError):
-        adam_step(p, g, AdamState.zeros(7), 1e-3)
+        adam_step(theta, np.zeros(param_count(4)), AdamState.zeros(7), 1e-3)
+
+
+def _functional_adam(theta, g, state, learning_rate,
+                     beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """The allocating Adam update that the in-place ``adam_step`` replaced."""
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
+    step = state.step + 1
+    m_hat = m / (1.0 - beta1 ** step)
+    v_hat = v / (1.0 - beta2 ** step)
+    theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    return theta, AdamState(m=m, v=v, step=step)
+
+
+_coords = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 40),
+    steps=st.integers(1, 20),
+    learning_rate=st.sampled_from([0.0, 1e-3, 0.1]),
+)
+def test_adam_in_place_equals_functional_step_bitwise(data, n, steps, learning_rate):
+    theta = data.draw(hnp.arrays(np.float64, n, elements=_coords))
+    m = data.draw(hnp.arrays(np.float64, n, elements=_coords))
+    v = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e6)))
+    grads = data.draw(hnp.arrays(np.float64, (steps, n), elements=_coords))
+    state = AdamState(m=m.copy(), v=v.copy())
+    want, want_state = theta.copy(), AdamState(m=m, v=v)
+    for g in grads:
+        adam_step(theta, g, state, learning_rate)
+        want, want_state = _functional_adam(want, g, want_state, learning_rate)
+        assert theta.tobytes() == want.tobytes()
+        assert state.m.tobytes() == want_state.m.tobytes()
+        assert state.v.tobytes() == want_state.v.tobytes()
+        assert state.step == want_state.step
 
 
 # -- metrics ------------------------------------------------------------------
@@ -115,6 +160,24 @@ def test_metrics_csv_round_trip():
     assert text.splitlines()[0] == "epoch,train_l2,val_l1,val_l2,wall_time_s"
     again = Metrics.from_csv_text(text)
     assert again.csv_text() == text
+
+
+_metric = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_metric, _metric, _metric, _metric), min_size=1, max_size=5))
+def test_metrics_csv_round_trip_is_bitwise(values):
+    m = Metrics(rows=[EpochRecord(i, *v) for i, v in enumerate(values, start=1)])
+    m.validate()
+    again = Metrics.from_csv_text(m.csv_text())
+
+    def bits(metrics):
+        return [(r.epoch, *(x.hex() for x in (r.train_l2, r.val_l1, r.val_l2, r.wall_time_s)))
+                for r in metrics.rows]
+
+    assert bits(again) == bits(m)
+    assert again.csv_text() == m.csv_text()
 
 
 def test_metrics_validation():
@@ -141,6 +204,10 @@ def test_train_config_validation():
         TrainConfig(**{**good, "batch_size": 0})
     with pytest.raises(ValueError):
         TrainConfig(**{**good, "learning_rate": -1e-3})
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{**good, "learning_rate": lr})
+    TrainConfig(**{**good, "learning_rate": 0.0})
 
 
 # -- evaluate -----------------------------------------------------------------
