@@ -17,14 +17,7 @@ from .graphs import (
     laplacian,
     permute,
 )
-from .spectral import (
-    LaplacianSpectrum,
-    algebraic_connectivities,
-    algebraic_connectivity,
-    eigenvalues_symmetric,
-    jacobi_eigensystem,
-    laplacian_spectrum,
-)
+from .spectral import algebraic_connectivities, algebraic_connectivity, jacobi_eigensystem
 from .model import (
     ForwardCache,
     GraphStack,

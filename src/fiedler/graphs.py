@@ -141,16 +141,20 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def laplacian_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """``(B, n, n)`` Laplacians of B graphs that all have n nodes."""
-    n = graphs[0].n
+    """``(B, n, n)`` Laplacians of B graphs, n the largest node count: graph b's
+    Laplacian fills the leading ``graphs[b].n``-square block and every other
+    entry is +0.0."""
+    n = max(g.n for g in graphs)
+    n_edges = [len(g.edges) for g in graphs]
+    i, j = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.intp,
+        count=2 * sum(n_edges),
+    ).reshape(-1, 2).T
+    b = np.repeat(np.arange(len(graphs)), n_edges)
     lap = np.zeros((len(graphs), n, n))
-    for b, g in enumerate(graphs):
-        if g.n != n:
-            raise ValueError(f"graph {b} has {g.n} nodes, expected {n}")
-        if g.edges:
-            i, j = np.array(list(g.edges)).T
-            lap[b, i, j] = -1.0
-            lap[b, j, i] = -1.0
+    lap[b, i, j] = -1.0
+    lap[b, j, i] = -1.0
     diagonal = np.arange(n)
     lap[:, diagonal, diagonal] -= lap.sum(axis=2)
     return lap

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -5,8 +8,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from fiedler.cli import main
 from fiedler.data import Dataset, dataset_text, generate_dataset, load_dataset, save_dataset
-from fiedler.graphs import MIN_NODES, GraphGenConfig, is_connected
+from fiedler.graphs import MAX_NODES, MIN_NODES, GraphGenConfig, is_connected
+from fiedler.model import init_params, save_params
 from fiedler.spectral import algebraic_connectivity
 
 
@@ -155,3 +160,57 @@ def test_verified_load_reports_the_first_bad_line(tmp_path, small_dataset):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=expect):
             load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def eval_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.txt"
+    save_params(init_params(4, 0), path, mode="global", rounds=2)
+    return path
+
+
+# Tokens that no int() or float() parse, and the non-finite floats.
+_NON_NUMBERS = st.text(alphabet="xyz._", max_size=3)
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_single_token_corruption_is_rejected_with_its_line(small_dataset, eval_checkpoint, data):
+    """Replacing n, one edge endpoint or the label of one line with a
+    non-number, a non-finite value, an out-of-range node or a label 1e-6 off
+    fails the verified load at that line, and `fiedler eval` exits 2."""
+    lines = dataset_text(small_dataset).splitlines()
+    index = data.draw(st.integers(1, len(lines) - 1), label="line")
+    n_tok, edge_tok, label_tok = lines[index].split(" ")
+    n = int(n_tok[len("n="):])
+    bad = _NON_NUMBERS | _NON_FINITE
+    field = data.draw(st.sampled_from(["n", "endpoint", "label"]), label="field")
+    if field == "n":
+        # n - 1 leaves an endpoint outside the nodes, n + 1 an isolated node
+        nodes = [MIN_NODES - 1, MAX_NODES + 1, 0, -1, n - 1, n + 1]
+        n_tok = "n=" + data.draw(bad | st.sampled_from([str(v) for v in nodes]), label="n")
+    elif field == "endpoint":
+        edges = edge_tok[len("edges="):].split(",")
+        which = data.draw(st.integers(0, len(edges) - 1), label="edge")
+        ends = edges[which].split("-")
+        side = data.draw(st.integers(0, 1), label="side")
+        ends[side] = data.draw(bad | st.sampled_from([str(n), str(MAX_NODES), "-1"]), label="end")
+        edges[which] = "-".join(ends)
+        edge_tok = "edges=" + ",".join(edges)
+    else:
+        label = float(label_tok[len("lambda2="):])
+        moved = [f"{label + delta:.12e}" for delta in (1e-6, -1e-6)]
+        label_tok = "lambda2=" + data.draw(bad | st.sampled_from(moved), label="label")
+    lines[index] = " ".join((n_tok, edge_tok, label_tok))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}:{index + 1}:"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            load_dataset(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", "--checkpoint", str(eval_checkpoint), "--data", str(path)])
+        assert code == 2
+        assert where in err.getvalue()

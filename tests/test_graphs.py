@@ -8,6 +8,7 @@ from fiedler.graphs import (
     generate_connected_graph,
     is_connected,
     laplacian,
+    laplacian_stack,
     permute,
 )
 from fiedler.spectral import algebraic_connectivity
@@ -102,6 +103,32 @@ def test_laplacian_rows_sum_to_zero():
         lap = laplacian(generate_connected_graph(cfg, idx))
         assert np.max(np.abs(lap.sum(axis=1))) == 0.0
         assert np.array_equal(lap, lap.T)
+
+
+def _loop_laplacian(g):
+    """One graph's Laplacian entry by entry: the reference for the scatter."""
+    lap = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        lap[i, j] = lap[j, i] = -1.0
+    for i in range(g.n):
+        lap[i, i] = 0.0 - lap[i].sum()
+    return lap
+
+
+def test_mixed_size_laplacian_stack_is_zero_padded():
+    cfg = GraphGenConfig(n_range=(3, 12), p_range=(0.2, 0.8), seed=9)
+    graphs = [generate_connected_graph(cfg, idx) for idx in range(12)]
+    graphs += [Graph(5, []), Graph(6, [(0, 1), (2, 3)])]  # isolated nodes, last one too
+    stack = laplacian_stack(graphs)
+    n = max(g.n for g in graphs)
+    assert stack.shape == (len(graphs), n, n)
+    for lap, g in zip(stack, graphs):
+        for want in (_loop_laplacian(g), laplacian(g)):
+            assert np.array_equal(lap[: g.n, : g.n], want)
+            assert np.array_equal(np.signbit(lap[: g.n, : g.n]), np.signbit(want))
+        padding = np.ones((n, n), dtype=bool)
+        padding[: g.n, : g.n] = False
+        assert np.all(lap[padding] == 0.0) and not np.any(np.signbit(lap[padding]))
 
 
 def test_permute_identity():

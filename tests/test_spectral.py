@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -9,37 +10,30 @@ from hypothesis import given, settings
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from fiedler import spectral
 from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph, laplacian
-from fiedler.spectral import (
-    LaplacianSpectrum,
-    algebraic_connectivities,
-    algebraic_connectivity,
-    eigenvalues_symmetric,
-    jacobi_eigensystem,
-    laplacian_spectrum,
-)
+from fiedler.spectral import algebraic_connectivities, algebraic_connectivity, jacobi_eigensystem
 
 
 def test_two_by_two_laplacian_block():
     # characteristic polynomial x^2 - 2x has roots 0 and 2
-    ev = eigenvalues_symmetric([[1.0, -1.0], [-1.0, 1.0]])
+    ev = jacobi_eigensystem([[1.0, -1.0], [-1.0, 1.0]])[0]
     assert ev == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
 def test_identity_matrix():
-    ev = eigenvalues_symmetric(np.eye(3))
+    ev = jacobi_eigensystem(np.eye(3))[0]
     assert np.array_equal(ev, [1.0, 1.0, 1.0])
 
 
 def test_path3_spectrum():
-    ev = eigenvalues_symmetric(laplacian(path_graph(3)))
+    ev = jacobi_eigensystem(laplacian(path_graph(3)))[0]
     assert ev == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
 
 
 def test_rejects_non_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
-        eigenvalues_symmetric([[0.0, 1.0], [0.5, 0.0]])
+        jacobi_eigensystem([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError, match="square"):
-        eigenvalues_symmetric(np.ones((2, 3)))
+        jacobi_eigensystem(np.ones((2, 3)))
 
 
 def test_non_convergence_raises():
@@ -69,7 +63,7 @@ def test_eigenvalue_sum_matches_trace():
     cfg = GraphGenConfig(n_range=(4, 13), p_range=(0.2, 0.9), seed=17)
     for idx in range(100):
         lap = laplacian(generate_connected_graph(cfg, idx))
-        ev = eigenvalues_symmetric(lap)
+        ev = jacobi_eigensystem(lap)[0]
         assert abs(ev.sum() - np.trace(lap)) <= 1e-8
 
 
@@ -88,7 +82,7 @@ def test_matches_lapack_on_random_symmetric():
         n = int(rng.integers(2, 14))
         a = rng.normal(size=(n, n))
         m = (a + a.T) / 2.0
-        ours = eigenvalues_symmetric(m)
+        ours = jacobi_eigensystem(m)[0]
         ref = np.linalg.eigvalsh(m)
         assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -97,18 +91,10 @@ def test_spectrum_invariants_on_generated_graphs():
     cfg = GraphGenConfig(n_range=(5, 12), p_range=(0.2, 0.7), seed=41)
     for idx in range(30):
         g = generate_connected_graph(cfg, idx)
-        spec = laplacian_spectrum(g)
-        ev = np.array(spec.eigenvalues)
+        ev = jacobi_eigensystem(laplacian(g))[0]
         assert abs(ev[0]) <= 1e-9
         assert ev.min() >= -1e-9
-        assert 0.0 < spec.lambda2 <= g.n + 1e-9
-
-
-def test_spectrum_type_validation():
-    with pytest.raises(ValueError):
-        LaplacianSpectrum(eigenvalues=(0.5, 1.0), lambda2=1.0)  # nonzero smallest
-    with pytest.raises(ValueError):
-        LaplacianSpectrum(eigenvalues=(0.0, 2.0), lambda2=1.0)  # lambda2 mismatch
+        assert 0.0 < ev[1] <= g.n + 1e-9
 
 
 def test_edge_deletion_never_increases_lambda2():
@@ -185,13 +171,72 @@ def test_stacked_solver_is_bitwise_equal_to_scalar_reference():
         assert np.array_equal(vec, ref_vec)
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
 def test_stacked_oracle_is_bitwise_equal_to_single_calls(monkeypatch):
     graphs = _mixed_graphs()
-    single = [algebraic_connectivity(g) for g in graphs]
-    assert algebraic_connectivities(graphs) == single
-    assert algebraic_connectivities(graphs[::-1]) == single[::-1]
+    single = _hex(algebraic_connectivity(g) for g in graphs)
+    assert _hex(algebraic_connectivities(graphs)) == single
+    assert _hex(algebraic_connectivities(graphs[::-1])) == single[::-1]
     monkeypatch.setattr(spectral, "ORACLE_CHUNK", 3)  # chunk boundaries inside each size
-    assert algebraic_connectivities(graphs) == single
+    assert _hex(algebraic_connectivities(graphs)) == single
+
+
+@st.composite
+def _graphs(draw, n_max=40):
+    """A graph on 3..n_max nodes with any edge set, disconnected ones included."""
+    n = draw(st.integers(3, n_max))
+    density = draw(st.floats(0.0, 1.0))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(len(pairs)) < density
+    return Graph(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_graphs(), min_size=1, max_size=6))
+def test_padded_stacks_are_bitwise_equal_to_single_calls(graphs):
+    single = _hex(algebraic_connectivity(g) for g in graphs)
+    for chunk in (1, 2, 3, 7, spectral.ORACLE_CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "ORACLE_CHUNK", chunk)
+            assert _hex(algebraic_connectivities(graphs)) == single
+
+
+def _count_solver_calls(monkeypatch):
+    calls = []
+    solve = spectral._solve
+
+    def counting(stack, sizes, *args):
+        calls.append(sorted(sizes.tolist()))
+        return solve(stack, sizes, *args)
+
+    monkeypatch.setattr(spectral, "_solve", counting)
+    return calls
+
+
+def test_paper_law_reaches_the_solver_in_one_call(monkeypatch):
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.16, 0.95), seed=601)
+    graphs = [generate_connected_graph(cfg, idx) for idx in range(100)]
+    calls = _count_solver_calls(monkeypatch)
+    algebraic_connectivities(graphs)
+    assert len(calls) == 1 and len(calls[0]) == 100
+    assert set(calls[0]) == {9, 10, 11}
+
+
+def test_size_groups_join_a_chunk_only_whole(monkeypatch):
+    graphs = [cycle_graph(9)] * 6 + [path_graph(4)] * 3 + [star_graph(4)] * 4
+    monkeypatch.setattr(spectral, "ORACLE_CHUNK", 8)
+    calls = _count_solver_calls(monkeypatch)
+    algebraic_connectivities(graphs)
+    # 3 + 4 fit in 8; the group of 6 does not fit beside them
+    assert calls == [[4, 4, 4, 5, 5, 5, 5], [9] * 6]
+    calls.clear()
+    # a group larger than a chunk is cut into chunks of its own, which no
+    # later group joins
+    algebraic_connectivities([path_graph(4)] * 10 + [cycle_graph(9)] * 5 + [path_graph(10)] * 3)
+    assert calls == [[4] * 8, [4] * 2, [9] * 5 + [10] * 3]
 
 
 def test_stack_call_matches_per_matrix_calls():
@@ -227,7 +272,7 @@ def test_oracle_agrees_with_lapack_on_generated_graphs(n_range, count, tol):
 )
 def test_random_symmetric_stacks_match_lapack(raw):
     stack = (raw + raw.transpose(0, 2, 1)) / 2.0
-    ours = eigenvalues_symmetric(stack)
+    ours = jacobi_eigensystem(stack)[0]
     # LAPACK, not the oracle, goes wrong on entries near 1e-160 (see the test
     # below), so the reference drops them; by Weyl's bound that moves no
     # eigenvalue by more than n * 1e-100
@@ -246,7 +291,7 @@ def test_tiny_filler_matches_closed_form(filler):
     matrix = np.full((6, 6), filler)
     matrix[0, 2] = matrix[2, 0] = a
     want = np.array([-abs(a), 0.0, 0.0, 0.0, 0.0, abs(a)])
-    ours = eigenvalues_symmetric(matrix)
+    ours = jacobi_eigensystem(matrix)[0]
     assert np.max(np.abs(ours - want)) <= 1e-12 * abs(a) * 6
 
 
