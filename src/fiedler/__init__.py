@@ -11,8 +11,11 @@ __version__ = "0.1.0"
 
 from .graphs import (
     Graph,
+    GraphArrays,
     GraphGenConfig,
+    are_connected,
     generate_connected_graph,
+    generate_graph_arrays,
     is_connected,
     laplacian,
     permute,
@@ -34,9 +37,7 @@ from .model import (
     init_params,
     initial_state,
     load_params,
-    message_step,
     param_count,
-    readout_global,
     readout_local,
     save_params,
     unflatten_params,
@@ -50,8 +51,6 @@ from .training import (
     adam_step,
     evaluate,
     generalization_sweep,
-    l1_error,
-    l2_loss,
     train,
 )
 from .simulation import (

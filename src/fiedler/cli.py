@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .data import dataset_text, generate_dataset, load_dataset
+from .data import dataset_chunks, generate_dataset, load_dataset
 from .graphs import GraphGenConfig, MAX_NODES, MIN_NODES, generate_connected_graph
 from .model import grad_check, init_params, load_params, save_params
 from .simulation import NodeEstimateReport, run_simulation
@@ -135,11 +135,13 @@ def _guard_output(path: Path, force: bool) -> None:
         raise UsageError(f"{path} exists; pass --force to overwrite")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings of ``chunks`` one after another to a temporary file,
+    then move it to ``path``: ``path`` is either untouched or complete."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -147,13 +149,14 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_run(args, seed: int, config: dict, inputs, outputs, manifest_path=None) -> None:
-    """Write each ``(path, text)`` of ``outputs`` in turn, refusing to
-    overwrite without --force (a ``None`` text is a file the command already
-    wrote), then the run manifest, by default at ``<first output>.manifest.json``."""
-    for path, text in outputs:
-        if text is not None:
+    """Write each ``(path, chunks)`` of ``outputs`` in turn, refusing to
+    overwrite without --force (``chunks`` is an iterable of strings; ``None``
+    is a file the command already wrote), then the run manifest, by default at
+    ``<first output>.manifest.json``."""
+    for path, chunks in outputs:
+        if chunks is not None:
             _guard_output(path, args.force)
-            _atomic_write(path, text)
+            _atomic_write(path, chunks)
     if manifest_path is None:
         first = outputs[0][0]
         manifest_path = first.with_name(first.name + ".manifest.json")
@@ -165,7 +168,7 @@ def _write_run(args, seed: int, config: dict, inputs, outputs, manifest_path=Non
         inputs=[str(path) for path in inputs],
         outputs=[str(path) for path, _ in outputs],
     )
-    _atomic_write(manifest_path, manifest.json_text())
+    _atomic_write(manifest_path, [manifest.json_text()])
 
 
 def _resolve_checkpoint(args, local_only: bool = False):
@@ -289,7 +292,7 @@ def _cmd_gen_data(args) -> int:
         "p_min": args.p_min,
         "p_max": args.p_max,
     }
-    _write_run(args, args.seed, config, [], [(out, dataset_text(ds))])
+    _write_run(args, args.seed, config, [], [(out, dataset_chunks(ds))])
     print(f"wrote {args.count} labeled graphs to {out}")
     return EXIT_OK
 
@@ -314,7 +317,7 @@ def _cmd_train(args) -> int:
     train_set = load_dataset(args.train_data)
     val_set = load_dataset(args.val_data)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sizes = [g.n for g in train_set.graphs()]
+    sizes = train_set.arrays.sizes
 
     params, metrics = train(config, train_set, val_set, checkpoint_dir=out_dir)
     save_params(params, final_ckpt, mode=args.mode, rounds=args.rounds)
@@ -329,7 +332,7 @@ def _cmd_train(args) -> int:
         "batch": args.batch,
         "train_count": len(train_set),
         "val_count": len(val_set),
-        "train_n_range": [min(sizes), max(sizes)],
+        "train_n_range": [int(sizes.min()), int(sizes.max())],
     }
     _write_run(
         args, args.seed, run_config, [args.train_data, args.val_data],
@@ -351,7 +354,7 @@ def _cmd_eval(args) -> int:
     if args.out:
         _write_run(
             args, args.seed, {"T": rounds, "mode": mode}, [args.checkpoint, args.data],
-            [(Path(args.out), f"l1,l2\n{mean_l1:.17g},{mean_l2:.17g}\n")],
+            [(Path(args.out), [f"l1,l2\n{mean_l1:.17g},{mean_l2:.17g}\n"])],
         )
     return EXIT_OK
 
@@ -392,7 +395,7 @@ def _cmd_sweep(args) -> int:
         "train_n_range": [n_lo, n_hi],
     }
     _write_run(args, args.seed, config, [args.checkpoint, manifest_path],
-               [(Path(args.out), text)])
+               [(Path(args.out), [text])])
     return EXIT_OK
 
 
@@ -413,9 +416,9 @@ def _cmd_simulate(args) -> int:
 
     outputs = []
     if args.out:
-        outputs.append((Path(args.out), report.csv_text()))
+        outputs.append((Path(args.out), [report.csv_text()]))
     if args.trace:
-        outputs.append((Path(args.trace), trace.csv_text()))
+        outputs.append((Path(args.trace), [trace.csv_text()]))
     if outputs:
         config = {
             "n": args.n,

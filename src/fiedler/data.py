@@ -5,13 +5,28 @@ on-disk format is one header line ``fiedler-dataset v1 count=<k>`` followed by
 one line per graph: ``n=<n> edges=<i-j,...> lambda2=<%.12e>`` with edges in
 lexicographic order. Regenerating with the same config reproduces the file
 byte for byte.
+
+A dataset is held as arrays (``GraphArrays`` plus one label per graph), and
+generating, parsing, verifying and writing one works on those arrays: no
+stage builds a ``Graph`` per line or per draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import Iterator
 
-from .graphs import Graph, GraphGenConfig, generate_connected_graph, is_connected
+import numpy as np
+
+from .graphs import (
+    MAX_NODES,
+    MIN_NODES,
+    Graph,
+    GraphArrays,
+    GraphGenConfig,
+    are_connected,
+    generate_graph_arrays,
+)
 from .spectral import algebraic_connectivities
 
 DATASET_MAGIC = "fiedler-dataset"
@@ -19,70 +34,146 @@ DATASET_VERSION = "v1"
 
 LABEL_TOL = 1e-9
 
+# Graph lines per piece of text that dataset_chunks yields.
+TEXT_CHUNK = 4096
 
-@dataclass
+# "i-j" for every endpoint pair, at index i * MAX_NODES + j.
+_EDGE_TEXT = tuple(f"{i}-{j}" for i in range(MAX_NODES) for j in range(MAX_NODES))
+
+# The edge field of a line: i-j pairs of one- or two-digit endpoints.
+_EDGE_FIELD = re.compile(r"(?:[0-9]{1,2}-[0-9]{1,2}(?:,[0-9]{1,2}-[0-9]{1,2})*)?")
+
+
 class Dataset:
-    """List of (graph, lambda2) pairs."""
+    """Labeled graphs: ``arrays`` holds the graphs and ``lambda2`` their
+    labels, one float64 per graph.
 
-    items: list
+    ``Dataset(items=pairs)`` builds one from ``(Graph, label)`` pairs, and
+    ``items``, ``graphs()`` and ``labels()`` give them back, built on demand:
+    views for callers that hold graphs one at a time. The pipeline itself
+    reads only the arrays.
+    """
+
+    def __init__(self, arrays: GraphArrays | None = None, lambda2=(), *, items=None):
+        if arrays is None:
+            items = list(items or ())
+            arrays = GraphArrays.of(g for g, _ in items)
+            lambda2 = [label for _, label in items]
+        self.arrays = arrays
+        self.lambda2 = np.asarray(lambda2, dtype=float)
+        if self.lambda2.shape != (len(arrays),):
+            raise ValueError(f"{len(arrays)} graphs but {self.lambda2.size} labels")
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.arrays)
+
+    @property
+    def items(self) -> list:
+        return list(zip(self.graphs(), self.labels()))
 
     def graphs(self) -> list[Graph]:
-        return [g for g, _ in self.items]
+        return [self.arrays.graph(b) for b in range(len(self))]
 
     def labels(self) -> list[float]:
-        return [y for _, y in self.items]
+        return self.lambda2.tolist()
 
 
 def generate_dataset(cfg: GraphGenConfig, count: int) -> Dataset:
     """``count`` labeled connected graphs, deterministic per cfg."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    graphs = [generate_connected_graph(cfg, draw_index) for draw_index in range(count)]
-    return Dataset(items=list(zip(graphs, algebraic_connectivities(graphs))))
+    arrays = generate_graph_arrays(cfg, count)
+    return Dataset(arrays, algebraic_connectivities(arrays))
 
 
-def _format_item(g: Graph, label: float) -> str:
-    edges = ",".join(f"{i}-{j}" for i, j in g.edge_list())
-    return f"n={g.n} edges={edges} lambda2={label:.12e}"
+def _graph_lines(ds: Dataset, start: int, stop: int) -> list[str]:
+    """The file lines of graphs start..stop-1."""
+    arrays = ds.arrays
+    first, last = arrays.edge_offsets[[start, stop]]
+    ends = arrays.ends[first:last]
+    keys = (ends[:, 0] * MAX_NODES + ends[:, 1]).tolist()
+    bounds = (arrays.edge_offsets[start : stop + 1] - first).tolist()
+    edge_text = _EDGE_TEXT.__getitem__
+    return [
+        f"n={n} edges={','.join(map(edge_text, keys[a:b]))} lambda2={label:.12e}"
+        for n, a, b, label in zip(
+            arrays.sizes[start:stop].tolist(), bounds, bounds[1:],
+            ds.lambda2[start:stop].tolist(),
+        )
+    ]
+
+
+def dataset_chunks(ds: Dataset) -> Iterator[str]:
+    """The file text in pieces: the header line, then TEXT_CHUNK graph lines
+    at a time, each piece ending in a newline."""
+    yield f"{DATASET_MAGIC} {DATASET_VERSION} count={len(ds)}\n"
+    for start in range(0, len(ds), TEXT_CHUNK):
+        yield "\n".join(_graph_lines(ds, start, min(start + TEXT_CHUNK, len(ds)))) + "\n"
 
 
 def dataset_text(ds: Dataset) -> str:
-    lines = [f"{DATASET_MAGIC} {DATASET_VERSION} count={len(ds.items)}"]
-    lines.extend(_format_item(g, label) for g, label in ds.items)
-    return "\n".join(lines) + "\n"
+    return "".join(dataset_chunks(ds))
 
 
 def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dataset_text(ds))
+        fh.writelines(dataset_chunks(ds))
 
 
-def _parse_item(line: str, path, lineno: int):
-    fields = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
-        fields[key] = value
+def _line_error(line: str) -> str:
+    """Why a dataset line is invalid, reading it as one line is checked: its
+    fields, then its graph (node count, then each edge), then the edges'
+    canonical order, then the exact field layout."""
+    fields = dict(token.partition("=")[::2] for token in line.split())
     try:
         n = int(fields["n"])
         edge_field = fields["edges"]
-        label = float(fields["lambda2"])
-        edges = []
-        if edge_field:
-            for pair in edge_field.split(","):
-                i, _, j = pair.partition("-")
-                edges.append((int(i), int(j)))
+        float(fields["lambda2"])
+        pairs = [pair.partition("-")[::2] for pair in edge_field.split(",")] if edge_field else []
+        edges = [(int(i), int(j)) for i, j in pairs]
         g = Graph(n, edges)
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}:{lineno}: malformed dataset line: {exc}") from exc
+        return f"malformed dataset line: {exc}"
     if edges != g.edge_list():
-        raise ValueError(
-            f"{path}:{lineno}: edges must be distinct i-j pairs with i < j, "
-            "in lexicographic order"
-        )
-    return g, label
+        return "edges must be distinct i-j pairs with i < j, in lexicographic order"
+    return "malformed dataset line: expected n=<n> edges=<i-j,...> lambda2=<label>"
+
+
+def _parse_body(body) -> tuple[Dataset, int]:
+    """The dataset of the body lines up to the first one whose fields do not
+    parse, and that line's position (``len(body)`` when all parse). A line
+    parses when it reads ``n=<n> edges=<i-j,...> lambda2=<float>`` with n in
+    [MIN_NODES, MAX_NODES]; its edges are checked afterwards, as arrays."""
+    sizes, edge_fields, labels = [], [], []
+    for _, line in body:
+        try:
+            n_tok, edge_tok, label_tok = line.split()
+            if not (n_tok.startswith("n=") and edge_tok.startswith("edges=")
+                    and label_tok.startswith("lambda2=")):
+                break
+            n, label = int(n_tok[2:]), float(label_tok[8:])
+        except ValueError:
+            break
+        if not (MIN_NODES <= n <= MAX_NODES and _EDGE_FIELD.fullmatch(edge_tok, 6)):
+            break
+        sizes.append(n)
+        edge_fields.append(edge_tok[6:])
+        labels.append(label)
+    flat = ",".join(filter(None, edge_fields)).replace("-", ",")
+    ends = np.fromstring(flat, dtype=np.intp, sep=",") if flat else np.empty(0, np.intp)
+    arrays = GraphArrays.from_counts(sizes, [field.count("-") for field in edge_fields], ends)
+    return Dataset(arrays, labels), len(sizes)
+
+
+def _bad_edges(arrays: GraphArrays) -> np.ndarray:
+    """Per graph: whether an edge is a self-loop, leaves the nodes or breaks
+    the strict lexicographic order of i < j pairs."""
+    owner = np.repeat(np.arange(len(arrays)), np.diff(arrays.edge_offsets))
+    i, j = arrays.ends.T
+    bad = (i >= j) | (j >= arrays.sizes[owner])
+    key = i * 128 + j  # lexicographic: endpoints have at most two digits
+    bad[1:] |= (owner[1:] == owner[:-1]) & (key[1:] <= key[:-1])
+    return np.bincount(owner[bad], minlength=len(arrays)) > 0
 
 
 def load_dataset(path, verify: bool = True) -> Dataset:
@@ -103,14 +194,23 @@ def load_dataset(path, verify: bool = True) -> Dataset:
     if len(body) != count:
         raise ValueError(f"{path}: header says {count} graphs, found {len(body)}")
 
-    items = [_parse_item(line, path, lineno) for lineno, line in body]
-    if verify:
-        truths = algebraic_connectivities([g for g, _ in items])
-        for (lineno, _), (g, label), truth in zip(body, items, truths):
-            if not is_connected(g):
-                raise ValueError(f"{path}:{lineno}: graph is not connected")
-            if not (abs(truth - label) <= LABEL_TOL):
-                raise ValueError(
-                    f"{path}:{lineno}: label {label} disagrees with oracle {truth}"
-                )
-    return Dataset(items=items)
+    ds, parsed = _parse_body(body)
+    bad = np.flatnonzero(_bad_edges(ds.arrays))
+    first = int(bad[0]) if bad.size else parsed
+    if first < len(body):
+        lineno, line = body[first]
+        raise ValueError(f"{path}:{lineno}: {_line_error(line)}")
+    if verify and len(ds):
+        connected = are_connected(ds.arrays)
+        truths = algebraic_connectivities(ds.arrays)
+        ok = connected & (np.abs(truths - ds.lambda2) <= LABEL_TOL)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            where = f"{path}:{body[first][0]}"
+            if not connected[first]:
+                raise ValueError(f"{where}: graph is not connected")
+            raise ValueError(
+                f"{where}: label {ds.lambda2[first].item()} disagrees with oracle "
+                f"{truths[first].item()}"
+            )
+    return ds

@@ -10,8 +10,9 @@ reverse pass is written out by hand so it can be checked against finite
 differences coordinate by coordinate.
 
 Any number of graphs can be processed as one block-diagonal stack; the public
-single-graph API is a stack of size one. The stack's adjacency is built from
-all edges at once. Without a cache the GRU rounds run in reused buffers; with
+single-graph API is a stack of size one. A stack is built from ``GraphArrays``:
+every edge row is shifted by its graph's first node row, and the adjacency is
+built from all edges at once. Without a cache the GRU rounds run in reused buffers; with
 one, every round's gates, candidate, reset state and new state are views into
 a single block allocated once per pass. Either way the arithmetic follows the
 formulas' operation order, so every value is bitwise that of plain allocating
@@ -29,14 +30,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 from operator import attrgetter
-from typing import Sequence
-
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph
+from .graphs import Graph, GraphArrays
 from .spectral import algebraic_connectivity
 
 MODES = ("local", "global")
@@ -244,9 +242,8 @@ def initial_state(n: int, hidden_size: int) -> np.ndarray:
 class GraphStack:
     """Block-diagonal stack of graphs sharing one node-state matrix."""
 
-    graphs: tuple
     sizes: np.ndarray        # nodes per graph
-    offsets: np.ndarray      # row offset per graph, length len(graphs) + 1
+    offsets: np.ndarray      # row offset per graph, length len(sizes) + 1
     node_graph: np.ndarray   # graph index per stacked node row
     adjacency: sp.csr_matrix
 
@@ -255,21 +252,16 @@ class GraphStack:
         return int(self.offsets[-1])
 
 
-def build_stack(graphs: Sequence[Graph]) -> GraphStack:
-    graphs = tuple(graphs)
-    if not graphs:
+def build_stack(arrays: GraphArrays) -> GraphStack:
+    """The stack of the graphs of ``arrays``: each graph's edge rows shifted
+    by its first node row, then one CSR adjacency over all rows."""
+    if not len(arrays):
         raise ValueError("need at least one graph")
-    sizes = np.array([g.n for g in graphs], dtype=np.intp)
-    offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
+    sizes = arrays.sizes
+    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
-    n_edges = np.array([len(g.edges) for g in graphs], dtype=np.intp)
-    ends = np.fromiter(
-        chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.int64,
-        count=2 * int(n_edges.sum()),
-    ).reshape(-1, 2)
-    ends += np.repeat(offsets[:-1], n_edges)[:, None]
+    ends = arrays.ends + np.repeat(offsets[:-1], np.diff(arrays.edge_offsets))[:, None]
     i, j = ends.T
     # both directions of every edge, in row-major (row, column) order
     keys = np.sort(np.concatenate((i * total + j, j * total + i)))
@@ -279,9 +271,8 @@ def build_stack(graphs: Sequence[Graph]) -> GraphStack:
     adjacency = sp.csr_matrix(
         (np.ones(keys.size), keys % total, indptr), shape=(total, total)
     )
-    node_graph = np.repeat(np.arange(len(graphs), dtype=np.intp), sizes)
+    node_graph = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
     return GraphStack(
-        graphs=graphs,
         sizes=sizes,
         offsets=offsets,
         node_graph=node_graph,
@@ -447,7 +438,7 @@ def stack_losses(estimates: np.ndarray, stack: GraphStack, targets: np.ndarray, 
     if mode == "local":
         err = estimates - np.repeat(targets, stack.sizes)
         per_graph = np.bincount(
-            stack.node_graph, weights=err * err, minlength=len(stack.graphs)
+            stack.node_graph, weights=err * err, minlength=len(stack.sizes)
         )
         return per_graph / (2.0 * stack.sizes)
     err = estimates - targets
@@ -479,9 +470,9 @@ def backward_stack(
     stack = cache.stack
     mode = cache.mode
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (len(stack.graphs),):
+    n_graphs = len(stack.sizes)
+    if targets.shape != (n_graphs,):
         raise ValueError("one target per stacked graph required")
-    n_graphs = len(stack.graphs)
     per_graph = stack_losses(cache.estimates, stack, targets, mode)
     loss = float(np.mean(per_graph))
 
@@ -559,17 +550,6 @@ def backward_stack(
 # ---------------------------------------------------------------------------
 
 
-def message_step(params: ModelParams, g: Graph, states: np.ndarray) -> np.ndarray:
-    """One message round: row v becomes the sum of w_msg @ state over N(v)."""
-    states = np.asarray(states, dtype=float)
-    if states.shape != (g.n, params.hidden_size):
-        raise ValueError(
-            f"states must have shape ({g.n}, {params.hidden_size}), got {states.shape}"
-        )
-    stack = build_stack([g])
-    return stack.adjacency @ (states @ params.w_msg.T)
-
-
 def gru_update(params: ModelParams, states: np.ndarray, messages: np.ndarray) -> np.ndarray:
     """Per-node GRU: h' = (1 - z) * h + z * c with the message as gate input."""
     states = np.asarray(states, dtype=float)
@@ -590,21 +570,13 @@ def readout_local(params: ModelParams, h: np.ndarray) -> float:
     return float(estimates[0])
 
 
-def readout_global(params: ModelParams, states: np.ndarray) -> float:
-    """Scalar estimate from all node states: mean-pool, then the readout MLP."""
-    states = np.asarray(states, dtype=float)
-    pooled = states.mean(axis=0)
-    estimates, _, _ = _readout_rows(params.readout_global, pooled[None, :])
-    return float(estimates[0])
-
-
 def forward(params: ModelParams, g: Graph, rounds: int, mode: str):
     """Full pass on one graph.
 
     Returns (estimates, cache): a length-n vector of per-node estimates in
     local mode, a scalar in global mode.
     """
-    stack = build_stack([g])
+    stack = build_stack(GraphArrays.of([g]))
     estimates, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
     if mode == "global":
         return float(estimates[0]), cache
@@ -686,7 +658,8 @@ def grad_check(
     if target is None:
         target = algebraic_connectivity(g)
 
-    stack = build_stack([g])
+    one = GraphArrays.of([g])
+    stack = build_stack(one)
     _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
     _, analytic = backward_stack(params, cache, np.array([float(target)]))
     theta = flatten_params(params)
@@ -707,7 +680,7 @@ def grad_check(
         idx = coords[start : start + per_chunk]
         k = idx.size
         if k not in stacks:
-            stacks[k] = build_stack([g] * (2 * k))
+            stacks[k] = build_stack(one.take(np.zeros(2 * k, dtype=np.intp)))
         probes = block[: 2 * k]
         probes[:] = theta
         rows = np.arange(k)

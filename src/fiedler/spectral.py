@@ -33,11 +33,9 @@ under ten sweeps.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .graphs import Graph, laplacian_stack
+from .graphs import Graph, GraphArrays, laplacian_stack
 
 SYMMETRY_TOL = 1e-12
 OFF_DIAGONAL_TOL = 1e-12
@@ -167,35 +165,38 @@ def _rotate(a, vt, p: int, q: int, rotate_tol: float) -> None:
         vt[p], vt[q] = new_vp, new_vq
 
 
-def algebraic_connectivities(graphs: Sequence[Graph]) -> list[float]:
-    """Second-smallest Laplacian eigenvalue of each graph, in input order.
+def algebraic_connectivities(arrays: GraphArrays) -> np.ndarray:
+    """Second-smallest Laplacian eigenvalue of each graph of ``arrays``, in
+    their order, as a float64 array.
 
     Graphs are solved in zero-padded stacks packed by the rule at ORACLE_CHUNK;
     a graph's value does not depend on the others in the call.
     """
-    by_size: dict[int, list[int]] = {}
-    for index, g in enumerate(graphs):
-        by_size.setdefault(g.n, []).append(index)
-    chunks, open_chunk = [], []
-    for n in sorted(by_size):
-        group = by_size[n]
-        if len(open_chunk) + len(group) > ORACLE_CHUNK:
-            chunks.append(open_chunk)
-            open_chunk = []
-        if len(group) > ORACLE_CHUNK:
-            chunks += [group[s : s + ORACLE_CHUNK] for s in range(0, len(group), ORACLE_CHUNK)]
+    sizes = arrays.sizes
+    # graphs by ascending n, each size in input order: a chunk is a run of these
+    order = np.argsort(sizes, kind="stable")
+    bounds, open_count, pos = [0], 0, 0
+    for count in np.unique(sizes, return_counts=True)[1].tolist():
+        if open_count + count > ORACLE_CHUNK:
+            bounds.append(pos)
+            open_count = 0
+        if count > ORACLE_CHUNK:
+            bounds += range(pos + ORACLE_CHUNK, pos + count, ORACLE_CHUNK)
+            bounds.append(pos + count)
         else:
-            open_chunk += group
-    labels = [0.0] * len(graphs)
-    for chunk in filter(None, chunks + [open_chunk]):
-        members = [graphs[i] for i in chunk]
-        sizes = np.array([g.n for g in members])
-        ev, _ = _solve(laplacian_stack(members), sizes, False, OFF_DIAGONAL_TOL, MAX_SWEEPS)
-        for index, value in zip(chunk, ev[:, 1].tolist()):
-            labels[index] = value
+            open_count += count
+        pos += count
+    bounds.append(pos)
+    labels = np.empty(len(sizes))
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop > start:
+            chunk = order[start:stop]
+            lap = laplacian_stack(arrays.take(chunk))
+            ev, _ = _solve(lap, sizes[chunk], False, OFF_DIAGONAL_TOL, MAX_SWEEPS)
+            labels[chunk] = ev[:, 1]
     return labels
 
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff g is connected."""
-    return algebraic_connectivities([g])[0]
+    return float(algebraic_connectivities(GraphArrays.of([g]))[0])

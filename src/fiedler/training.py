@@ -157,18 +157,6 @@ def adam_step(
     theta -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
 
 
-def l1_error(estimates, lambda2: float) -> float:
-    """(1/(2n)) sum of absolute errors; a lone scalar estimate counts as n=1."""
-    err = np.atleast_1d(np.asarray(estimates, dtype=float)) - lambda2
-    return float(np.sum(np.abs(err)) / (2.0 * err.size))
-
-
-def l2_loss(estimates, lambda2: float) -> float:
-    """(1/(2n)) sum of squared errors; a lone scalar estimate counts as n=1."""
-    err = np.atleast_1d(np.asarray(estimates, dtype=float)) - lambda2
-    return float(np.sum(err * err) / (2.0 * err.size))
-
-
 def evaluate(
     params: ModelParams,
     dataset: Dataset,
@@ -176,15 +164,15 @@ def evaluate(
     mode: str,
 ) -> tuple[float, float]:
     """Mean per-graph absolute and squared error over a dataset."""
-    if not dataset.items:
+    n = len(dataset)
+    if not n:
         raise ValueError("dataset is empty")
     l1_sum = 0.0
     l2_sum = 0.0
-    items = dataset.items
-    for start in range(0, len(items), EVAL_CHUNK):
-        chunk = items[start : start + EVAL_CHUNK]
-        stack = build_stack([g for g, _ in chunk])
-        targets = np.array([y for _, y in chunk])
+    for start in range(0, n, EVAL_CHUNK):
+        chunk = np.arange(start, min(start + EVAL_CHUNK, n))
+        stack = build_stack(dataset.arrays.take(chunk))
+        targets = dataset.lambda2[chunk]
         estimates, _ = forward_stack(params, stack, rounds, mode, want_cache=False)
         if mode == "local":
             node_err = np.abs(estimates - np.repeat(targets, stack.sizes))
@@ -197,7 +185,6 @@ def evaluate(
         per_graph_l2 = stack_losses(estimates, stack, targets, mode)
         l1_sum += float(per_graph_l1.sum())
         l2_sum += float(per_graph_l2.sum())
-    n = len(items)
     return l1_sum / n, l2_sum / n
 
 
@@ -217,13 +204,12 @@ def train(
     for the whole run, and at most one batch's forward cache is alive at any
     time. Aborts with RuntimeError on a non-finite loss.
     """
-    if not train_set.items or not val_set.items:
+    if not len(train_set) or not len(val_set):
         raise ValueError("datasets must be non-empty")
     theta = flatten_params(init_params(config.hidden_size, config.seed))
     params = param_views(theta, config.hidden_size)
     state = AdamState.zeros(theta.size)
     metrics = Metrics()
-    items = train_set.items
     started = clock()
 
     if checkpoint_dir is not None:
@@ -234,13 +220,12 @@ def train(
         order_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed & ((1 << 64) - 1), epoch])
         )
-        order = order_rng.permutation(len(items))
+        order = order_rng.permutation(len(train_set))
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            batch = [items[i] for i in batch_idx]
-            stack = build_stack([g for g, _ in batch])
-            targets = np.array([y for _, y in batch])
+            batch = order[start : start + config.batch_size]
+            stack = build_stack(train_set.arrays.take(batch))
+            targets = train_set.lambda2[batch]
             # a diverging run overflows before the loss check catches it;
             # the check below is the detector, so keep the warnings quiet
             with np.errstate(over="ignore", invalid="ignore"):
@@ -259,7 +244,7 @@ def train(
             # holding this one until then would keep two alive at once
             del cache, grad
             loss_sum += loss * len(batch)
-        train_l2 = loss_sum / len(items)
+        train_l2 = loss_sum / len(train_set)
         val_l1, val_l2 = evaluate(params, val_set, config.rounds, config.mode)
         if not (np.isfinite(val_l1) and np.isfinite(val_l2)):
             raise RuntimeError(f"training diverged: non-finite validation loss at epoch {epoch}")

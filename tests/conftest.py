@@ -20,3 +20,7 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Hub node 0 with ``leaves`` pendant nodes."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def degree(g: Graph, v: int) -> int:
+    return sum(1 for i, j in g.edges if v in (i, j))

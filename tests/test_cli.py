@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fiedler.cli import main
 from fiedler.data import load_dataset
@@ -421,3 +428,103 @@ def test_config_file_matches_flags(workspace, tmp_path, monkeypatch, capsys,
         runs.append((code, capsys.readouterr().out, files))
     assert runs[0][0] == 0
     assert runs[0] == runs[1]
+
+
+# -- single-token corruption of checkpoints and config files ------------------
+
+_BAD_INT = ["0", "-1", "2.5", "x", "nan", ""]
+_BAD_WEIGHT = ["nan", "NaN", "inf", "-inf", "x", "1.5.0", "0x1p3", ""]
+
+
+def _corrupt_token(data, line_index: int, tokens: list) -> tuple:
+    """(token index, replacement) making one token of a ``fiedler-params v1``
+    checkpoint line invalid: a header value, the ``tensor`` keyword, a tensor
+    name (unknown, or another tensor's), a shape entry or a weight."""
+    if line_index == 0:
+        k = data.draw(st.integers(0, len(tokens) - 1), label="header token")
+        key, _, value = tokens[k].partition("=")
+        bad = {
+            0: ["fiedler-param", "x"],
+            1: ["v2", "v0"],
+            "H": _BAD_INT + ["3", "5", "64"],
+            "T": _BAD_INT,
+            "mode": ["central", "x", "nan", ""],
+        }[k if k < 2 else key]
+        replacement = data.draw(st.sampled_from(bad), label="value")
+        return k, replacement if k < 2 else f"{key}={replacement}"
+    if tokens[0] == "tensor":
+        k = data.draw(st.integers(0, len(tokens) - 1), label="tensor token")
+        if k == 0:
+            bad = ["tensors", "x"]
+        elif k == 1:
+            names = [name for name, _ in model_tensor_specs() if name != tokens[1]]
+            bad = ["bogus", "w_msg.T"] + names
+        else:
+            bad = [v for v in _BAD_INT + ["3", "5"] if v != tokens[k]]
+        return k, data.draw(st.sampled_from(bad), label="replacement")
+    k = data.draw(st.integers(0, len(tokens) - 1), label="weight")
+    return k, data.draw(st.sampled_from(_BAD_WEIGHT), label="replacement")
+
+
+def model_tensor_specs():
+    from fiedler import model
+
+    return model._TENSOR_SPECS
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_single_token_checkpoint_corruption_is_rejected(workspace, data):
+    """Any one invalid header value, tensor keyword, name, shape entry or
+    weight fails ``load_params`` with an error naming the file (with the line
+    for a body token), and ``fiedler eval`` exits 2 naming it."""
+    _, _, val_file, _ = workspace
+    with tempfile.TemporaryDirectory() as tmp:
+        good = Path(tmp) / "good.txt"
+        save_params(init_params(4, seed=2), good, mode="global", rounds=2)
+        lines = good.read_text().splitlines()
+        index = data.draw(st.integers(0, len(lines) - 1), label="line")
+        tokens = lines[index].split(" ")
+        k, replacement = _corrupt_token(data, index, tokens)
+        tokens[k] = replacement
+        lines[index] = " ".join(tokens)
+        bad = Path(tmp) / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        where = re.escape(str(bad)) + (r"(:\d+)?: " if index == 0 else r":\d+: ")
+        with pytest.raises(ValueError, match=where):
+            load_params(bad)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", "--checkpoint", str(bad), "--data", str(val_file)])
+        assert code == 2
+        assert re.search(where, err.getvalue())
+
+
+# A valid gen-data config, and for each key values that no run can use.
+_GEN_CONFIG = {"count": "5", "n-min": "4", "n-max": "6", "p-min": "0.3", "p-max": "0.9",
+               "seed": "1"}
+_BAD_CONFIG_VALUES = {
+    "count": ["0", "-1", "x", "2.5", "nan", ""],
+    "n-min": ["2", "7", "65", "x", "4.0", ""],
+    "n-max": ["2", "3", "65", "x", "nan", ""],
+    "p-min": ["0", "-0.1", "0.95", "1.5", "nan", "inf", "x", ""],
+    "p-max": ["0", "0.1", "1.5", "nan", "inf", "x", ""],
+    "seed": ["x", "1.5", "nan", "0x10", ""],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(list(_GEN_CONFIG)), data=st.data())
+def test_single_config_value_corruption_exits_1_naming_its_line(key, data):
+    value = data.draw(st.sampled_from(_BAD_CONFIG_VALUES[key]), label="value")
+    conf = {**_GEN_CONFIG, key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "conf.txt"
+        path.write_text("".join(f"{k}={v}\n" for k, v in conf.items()))
+        out = Path(tmp) / "d.txt"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["gen-data", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert f"{path}:{list(conf).index(key) + 1}: {key}" in err.getvalue()
+        assert not out.exists()

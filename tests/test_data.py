@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,11 +11,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import fiedler
 from fiedler.cli import main
 from fiedler.data import Dataset, dataset_text, generate_dataset, load_dataset, save_dataset
-from fiedler.graphs import MAX_NODES, MIN_NODES, GraphGenConfig, is_connected
+from fiedler.graphs import MAX_NODES, MIN_NODES, Graph, GraphGenConfig, is_connected
 from fiedler.model import init_params, save_params
 from fiedler.spectral import algebraic_connectivity
+from fiedler.training import TrainConfig, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +219,85 @@ def test_single_token_corruption_is_rejected_with_its_line(small_dataset, eval_c
             code = main(["eval", "--checkpoint", str(eval_checkpoint), "--data", str(path)])
         assert code == 2
         assert where in err.getvalue()
+
+
+def test_empty_file_loads_as_empty_dataset(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("fiedler-dataset v1 count=0\n")
+    ds = load_dataset(path)
+    assert len(ds) == 0 and ds.items == [] and ds.lambda2.shape == (0,)
+    assert dataset_text(ds) == path.read_text()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n=3 edges=0-1,1-2 lambda2=1.0 extra=1", "malformed dataset line: expected n=<n>"),
+    ("edges=0-1,1-2 n=3 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,+1-2 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,1-002 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,1--2 lambda2=1.0", "malformed dataset line: edge"),
+    ("n=3 edges=0-1,1-2-3 lambda2=1.0", "malformed dataset line: invalid literal"),
+    ("n=3 edges=0-1,1-2 lambda=1.0", "malformed dataset line: 'lambda2'"),
+    ("n=65 edges=0-1,1-2 lambda2=1.0", "malformed dataset line: node count"),
+    ("n=3 edges=0-1,2-2 lambda2=1.0", "malformed dataset line: self-loop"),
+    ("n=3 edges=0-1,1-3 lambda2=1.0", "malformed dataset line: edge"),
+    ("n=3 edges=1-2,0-1 lambda2=1.0", "edges must be"),
+], ids=["extra-field", "field-order", "plus-sign", "three-digits", "negative", "triple",
+        "missing-label", "n-range", "self-loop", "endpoint", "order"])
+def test_load_rejects_each_bad_line_with_its_message(tmp_path, line, message):
+    """Lines of the canonical layout keep the messages a line-by-line parse
+    gave; anything else the writer never produces is rejected as well."""
+    path = tmp_path / "data.txt"
+    path.write_text(
+        "fiedler-dataset v1 count=3\n"
+        "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n"
+        f"{line}\n"
+        "n=3 edges=0-1,1-5 lambda2=1.000000000000e+00\n"
+    )
+    with pytest.raises(ValueError, match=rf"data\.txt:3: {re.escape(message)}"):
+        load_dataset(path, verify=False)
+
+
+def test_pipeline_builds_no_graph(tmp_path, monkeypatch):
+    """Generating, saving, loading, training on and evaluating a dataset
+    works on its arrays: not one Graph is constructed."""
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    ds = generate_dataset(GraphGenConfig(n_range=(5, 9), seed=21), 40)
+    path = tmp_path / "data.txt"
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
+    config = TrainConfig(rounds=2, mode="local", hidden_size=4, epochs=1, batch_size=16)
+    params, _ = train(config, loaded, loaded)
+    evaluate(params, loaded, 2, "global")
+    assert built == []
+    assert len(ds.items) == 40 and len(built) == 40  # the view does build them
+
+
+def test_pipeline_does_not_import_csgraph(tmp_path):
+    """``scipy.sparse.csgraph`` adds about 9 MiB of resident memory on
+    import, so connectivity must not reach for it: a fresh process that
+    imports fiedler, loads a verified file and evaluates on it leaves it
+    unimported."""
+    path = tmp_path / "data.txt"
+    save_dataset(generate_dataset(GraphGenConfig(seed=8), 12), path)
+    script = (
+        "import sys\n"
+        "import fiedler\n"
+        "from fiedler.data import load_dataset\n"
+        "from fiedler.model import init_params\n"
+        "from fiedler.training import evaluate\n"
+        f"ds = load_dataset({str(path)!r}, verify=True)\n"
+        "evaluate(init_params(4, 0), ds, 2, 'global')\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    src = str(Path(fiedler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,11 +1,21 @@
+import itertools
+from collections import deque
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, degree, path_graph
 from fiedler.graphs import (
+    MAX_REJECTIONS,
+    MIN_NODES,
     Graph,
+    GraphArrays,
     GraphGenConfig,
+    are_connected,
     generate_connected_graph,
+    generate_graph_arrays,
     is_connected,
     laplacian,
     laplacian_stack,
@@ -34,7 +44,7 @@ def test_graph_rejects_bad_inputs():
 def test_neighbor_lists_ascending():
     g = Graph(4, [(0, 3), (0, 1), (2, 3)])
     assert g.neighbor_lists() == [[1, 3], [0], [3], [0, 2]]
-    assert g.degree(3) == 2
+    assert degree(g, 3) == 2
 
 
 def test_gen_config_validation():
@@ -119,7 +129,7 @@ def test_mixed_size_laplacian_stack_is_zero_padded():
     cfg = GraphGenConfig(n_range=(3, 12), p_range=(0.2, 0.8), seed=9)
     graphs = [generate_connected_graph(cfg, idx) for idx in range(12)]
     graphs += [Graph(5, []), Graph(6, [(0, 1), (2, 3)])]  # isolated nodes, last one too
-    stack = laplacian_stack(graphs)
+    stack = laplacian_stack(GraphArrays.of(graphs))
     n = max(g.n for g in graphs)
     assert stack.shape == (len(graphs), n, n)
     for lap, g in zip(stack, graphs):
@@ -161,3 +171,119 @@ def test_permute_rejects_non_bijections():
         permute(g, [0, 0, 2])
     with pytest.raises(ValueError):
         permute(g, [0, 1, 3])
+
+
+# -- array forms against the per-graph code they replaced ---------------------
+
+
+def _bfs_connected(g):
+    """Reference: breadth-first search from node 0 over neighbour lists."""
+    nbrs = g.neighbor_lists()
+    seen = [False] * g.n
+    seen[0] = True
+    queue = deque([0])
+    count = 1
+    while queue:
+        v = queue.popleft()
+        for w in nbrs[v]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                queue.append(w)
+    return count == g.n
+
+
+def _draw_reference(cfg, draw_index):
+    """Reference: one draw as a Graph per attempt, pairs from
+    itertools.combinations, connectivity by BFS."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), draw_index]))
+    n_lo, n_hi = cfg.n_range
+    p_lo, p_hi = cfg.p_range
+    for _ in range(MAX_REJECTIONS):
+        n = int(rng.integers(n_lo, n_hi + 1))
+        p = float(rng.uniform(p_lo, p_hi))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = rng.random(len(pairs)) < p
+        g = Graph(n, [pair for pair, k in zip(pairs, keep) if k])
+        if _bfs_connected(g):
+            return g
+    raise RuntimeError("p_range too sparse")
+
+
+def _laplacian_stack_frozenset(graphs):
+    """Reference: the zero-padded Laplacian stack filled from each Graph's
+    frozenset of edges."""
+    n = max(g.n for g in graphs)
+    n_edges = [len(g.edges) for g in graphs]
+    i, j = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.intp,
+        count=2 * sum(n_edges),
+    ).reshape(-1, 2).T
+    b = np.repeat(np.arange(len(graphs)), n_edges)
+    lap = np.zeros((len(graphs), n, n))
+    lap[b, i, j] = -1.0
+    lap[b, j, i] = -1.0
+    diagonal = np.arange(n)
+    lap[:, diagonal, diagonal] -= lap.sum(axis=2)
+    return lap
+
+
+@st.composite
+def _any_graph(draw):
+    """3..40 nodes and any edge set: edgeless, paths and disconnected ones too."""
+    n = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(["random", "edgeless", "path", "two-paths"]))
+    if kind == "edgeless":
+        return Graph(n, [])
+    if kind == "path":
+        return path_graph(n)
+    if kind == "two-paths":
+        cut = draw(st.integers(1, n - 1))
+        return Graph(n, [(v, v + 1) for v in range(n - 1) if v + 1 != cut])
+    density = draw(st.floats(0.0, 1.0))
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n * (n - 1) // 2)
+    return Graph(n, [pair for pair, k in zip(itertools.combinations(range(n), 2), keep)
+                     if k < density])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_any_graph(), min_size=1, max_size=8))
+def test_arrays_match_the_per_graph_references(graphs):
+    arrays = GraphArrays.of(graphs)
+    assert [arrays.graph(b) for b in range(len(graphs))] == graphs
+    for b, g in enumerate(graphs):
+        rows = arrays.ends[arrays.edge_offsets[b] : arrays.edge_offsets[b + 1]]
+        assert [tuple(row) for row in rows.tolist()] == g.edge_list()
+    want = [_bfs_connected(g) for g in graphs]
+    assert are_connected(arrays).tolist() == want
+    assert [is_connected(g) for g in graphs] == want
+    assert laplacian_stack(arrays).tobytes() == _laplacian_stack_frozenset(graphs).tobytes()
+    index = np.arange(len(graphs))[::-1].repeat(2)
+    taken = arrays.take(index)
+    assert [taken.graph(b) for b in range(len(index))] == [graphs[k] for k in index]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_lo=st.integers(MIN_NODES, 9),
+    n_span=st.integers(0, 3),
+    p_lo=st.floats(0.08, 0.9),
+    p_span=st.floats(0.0, 0.3),
+    count=st.integers(1, 6),
+)
+def test_generation_matches_the_per_draw_reference(seed, n_lo, n_span, p_lo, p_span, count):
+    """Sparse laws reject most draws; each draw index still reads its own
+    stream exactly as a Graph-per-attempt generator did."""
+    cfg = GraphGenConfig(n_range=(n_lo, n_lo + n_span), p_range=(p_lo, min(1.0, p_lo + p_span)),
+                         seed=seed)
+    try:
+        want = [_draw_reference(cfg, index) for index in range(count)]
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="p_range too sparse"):
+            generate_graph_arrays(cfg, count)
+        return
+    arrays = generate_graph_arrays(cfg, count)
+    assert [arrays.graph(b) for b in range(count)] == want
+    assert [generate_connected_graph(cfg, index) for index in range(count)] == want

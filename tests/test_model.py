@@ -11,10 +11,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, degree, path_graph
 from fiedler import model
 from fiedler.cli import GRADCHECK_INSTANCES
-from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph, permute
+from fiedler.graphs import Graph, GraphArrays, GraphGenConfig, generate_connected_graph, permute
 from fiedler.model import (
     MODES,
     ForwardCache,
@@ -29,10 +29,8 @@ from fiedler.model import (
     init_params,
     initial_state,
     load_params,
-    message_step,
     param_count,
     param_views,
-    readout_global,
     readout_local,
     save_params,
     stack_loss,
@@ -131,6 +129,15 @@ def test_initial_state_rows_are_e1():
 # -- message step -------------------------------------------------------------
 
 
+def message_step(params, g, states):
+    """Reference: one message round on one graph, where row v becomes the sum
+    of w_msg @ state over N(v), computed as ``model.message_step`` did."""
+    states = np.asarray(states, dtype=float)
+    if states.shape != (g.n, params.hidden_size):
+        raise ValueError(f"states must have shape ({g.n}, {params.hidden_size})")
+    return build_stack(GraphArrays.of([g])).adjacency @ (states @ params.w_msg.T)
+
+
 def test_message_step_identity_transform_sums_neighbors():
     p = init_params(3, seed=0)
     p.w_msg = np.eye(3)
@@ -157,7 +164,7 @@ def test_message_step_equal_states_scale_with_degree():
     states = np.tile(h, (4, 1))
     out = message_step(p, g, states)
     for v in range(4):
-        assert np.allclose(out[v], g.degree(v) * h, atol=0, rtol=0)
+        assert np.allclose(out[v], degree(g, v) * h, atol=0, rtol=0)
 
 
 def test_message_step_locality_is_bitwise():
@@ -202,6 +209,32 @@ def _build_stack_coo(graphs):
     return adjacency, offsets, node_graph
 
 
+def _build_stack_frozenset(graphs):
+    """Reference: the one-pass CSR build from each Graph's frozenset of
+    edges, as build_stack did before it took GraphArrays. Returns
+    (adjacency, offsets, node_graph)."""
+    sizes = np.array([g.n for g in graphs], dtype=np.intp)
+    offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    total = int(offsets[-1])
+    n_edges = np.array([len(g.edges) for g in graphs], dtype=np.intp)
+    ends = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.int64,
+        count=2 * int(n_edges.sum()),
+    ).reshape(-1, 2)
+    ends += np.repeat(offsets[:-1], n_edges)[:, None]
+    i, j = ends.T
+    keys = np.sort(np.concatenate((i * total + j, j * total + i)))
+    indptr = np.zeros(total + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends.ravel(), minlength=total), out=indptr[1:])
+    adjacency = sp.csr_matrix(
+        (np.ones(keys.size), keys % total, indptr), shape=(total, total)
+    )
+    node_graph = np.repeat(np.arange(len(graphs), dtype=np.intp), sizes)
+    return adjacency, offsets, node_graph
+
+
 @st.composite
 def _graphs(draw):
     """A graph with 3..64 nodes and any edge set, the empty one included."""
@@ -217,18 +250,25 @@ def _graphs(draw):
 @example([Graph(3, []), Graph(5, [(0, 4)]), Graph(3, [])])
 @example([Graph(64, itertools.combinations(range(64), 2))])
 def test_build_stack_is_bitwise_equal_to_coo_reference(graphs):
-    stack = build_stack(graphs)
-    adjacency, offsets, node_graph = _build_stack_coo(graphs)
+    stack = build_stack(GraphArrays.of(graphs))
+    for adjacency, offsets, node_graph in (_build_stack_coo(graphs),
+                                           _build_stack_frozenset(graphs)):
+        for name in ("indices", "indptr", "data"):
+            got, want = getattr(stack.adjacency, name), getattr(adjacency, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert stack.adjacency.shape == adjacency.shape
+        assert stack.adjacency.has_sorted_indices and adjacency.has_sorted_indices
+        for got, want in ((stack.offsets, offsets), (stack.node_graph, node_graph)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert stack.sizes.tolist() == [g.n for g in graphs]
+    # a stack of gathered graphs is the stack of those graphs
+    index = np.arange(len(graphs))[::-1]
+    gathered = build_stack(GraphArrays.of(graphs).take(index))
+    adjacency, _, _ = _build_stack_coo([graphs[k] for k in index])
     for name in ("indices", "indptr", "data"):
-        got, want = getattr(stack.adjacency, name), getattr(adjacency, name)
-        assert got.dtype == want.dtype, name
-        assert got.tobytes() == want.tobytes(), name
-    assert stack.adjacency.shape == adjacency.shape
-    assert stack.adjacency.has_sorted_indices and adjacency.has_sorted_indices
-    for got, want in ((stack.offsets, offsets), (stack.node_graph, node_graph)):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-    assert stack.graphs == tuple(graphs)
+        assert getattr(gathered.adjacency, name).tobytes() == getattr(adjacency, name).tobytes()
 
 
 # -- GRU update ---------------------------------------------------------------
@@ -317,7 +357,7 @@ _CACHE_ARRAYS = ("readout_input", "readout_preact", "readout_hidden", "estimates
 def test_forward_backward_bitwise_equal_to_allocating_reference(mode, rounds):
     p = _perturbed_params(8, seed=31)
     graphs = [rand_graph(200 + i, 3, 20) for i in range(5)] + [Graph(3, [])]
-    stack = build_stack(graphs)
+    stack = build_stack(GraphArrays.of(graphs))
     targets = np.linspace(0.2, 2.0, len(graphs))
     params_before = flatten_params(p).tobytes()
     adjacency_before = [a.tobytes() for a in (stack.adjacency.data,
@@ -375,7 +415,7 @@ def test_large_weights_saturate_without_runtime_warnings():
     # exp(-a) overflows once a gate input a drops below about -709
     gate_input = messages @ p.gru.w_z.T + states @ p.gru.u_z.T + p.gru.b_z
     assert gate_input.min() < -710.0
-    stack = build_stack([rand_graph(s) for s in (1, 2, 3)])
+    stack = build_stack(GraphArrays.of([rand_graph(s) for s in (1, 2, 3)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = gru_update(p, states, messages)
@@ -403,6 +443,14 @@ def test_readout_local_relu_kills_negative_preactivations():
     p.readout_local.b1 = np.zeros(4)
     p.readout_local.b2 = -1.25
     assert readout_local(p, np.ones(4)) == -1.25
+
+
+def readout_global(params, states):
+    """Reference: mean-pool one graph's states, then the global readout MLP,
+    computed as ``model.readout_global`` did."""
+    pooled = np.asarray(states, dtype=float).mean(axis=0)
+    estimates, _, _ = model._readout_rows(params.readout_global, pooled[None, :])
+    return float(estimates[0])
 
 
 def test_readout_global_permutation_and_pooling():
@@ -468,7 +516,7 @@ def test_forward_is_deterministic_bitwise():
 
 def test_forward_cache_rounds_are_views_into_one_block():
     p = init_params(6, seed=0)
-    stack = build_stack([path_graph(4), cycle_graph(5)])
+    stack = build_stack(GraphArrays.of([path_graph(4), cycle_graph(5)]))
     _, cache = forward_stack(p, stack, 3, "local")
     per_round = (cache.update_gates, cache.reset_gates, cache.candidates,
                  cache.reset_states, cache.states[1:])
@@ -537,7 +585,7 @@ def test_stacked_batch_matches_mean_of_single_graphs():
     graphs = [rand_graph(20 + i) for i in range(3)]
     targets = np.array([0.5, 1.5, 2.5])
     for mode in ("local", "global"):
-        stack = build_stack(graphs)
+        stack = build_stack(GraphArrays.of(graphs))
         _, cache = forward_stack(p, stack, 3, mode)
         batch_loss, batch_grads = backward_stack(p, cache, targets)
         single_losses = []
@@ -592,7 +640,7 @@ def _grad_check_copying(params, g, rounds, mode, epsilon=1e-5, target=None,
     fresh ModelParams (copied tensors, float b2) per coordinate."""
     if target is None:
         target = algebraic_connectivity(g)
-    stack = build_stack([g])
+    stack = build_stack(GraphArrays.of([g]))
     targets = np.array([float(target)])
     _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
     _, analytic = backward_stack(params, cache, targets)

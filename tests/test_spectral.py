@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from fiedler import spectral
-from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph, laplacian
+from fiedler.graphs import Graph, GraphArrays, GraphGenConfig, generate_connected_graph, laplacian
 from fiedler.spectral import algebraic_connectivities, algebraic_connectivity, jacobi_eigensystem
 
 
@@ -178,10 +178,10 @@ def _hex(values):
 def test_stacked_oracle_is_bitwise_equal_to_single_calls(monkeypatch):
     graphs = _mixed_graphs()
     single = _hex(algebraic_connectivity(g) for g in graphs)
-    assert _hex(algebraic_connectivities(graphs)) == single
-    assert _hex(algebraic_connectivities(graphs[::-1])) == single[::-1]
+    assert _hex(algebraic_connectivities(GraphArrays.of(graphs))) == single
+    assert _hex(algebraic_connectivities(GraphArrays.of(graphs[::-1]))) == single[::-1]
     monkeypatch.setattr(spectral, "ORACLE_CHUNK", 3)  # chunk boundaries inside each size
-    assert _hex(algebraic_connectivities(graphs)) == single
+    assert _hex(algebraic_connectivities(GraphArrays.of(graphs))) == single
 
 
 @st.composite
@@ -201,7 +201,7 @@ def test_padded_stacks_are_bitwise_equal_to_single_calls(graphs):
     for chunk in (1, 2, 3, 7, spectral.ORACLE_CHUNK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "ORACLE_CHUNK", chunk)
-            assert _hex(algebraic_connectivities(graphs)) == single
+            assert _hex(algebraic_connectivities(GraphArrays.of(graphs))) == single
 
 
 def _count_solver_calls(monkeypatch):
@@ -220,7 +220,7 @@ def test_paper_law_reaches_the_solver_in_one_call(monkeypatch):
     cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.16, 0.95), seed=601)
     graphs = [generate_connected_graph(cfg, idx) for idx in range(100)]
     calls = _count_solver_calls(monkeypatch)
-    algebraic_connectivities(graphs)
+    algebraic_connectivities(GraphArrays.of(graphs))
     assert len(calls) == 1 and len(calls[0]) == 100
     assert set(calls[0]) == {9, 10, 11}
 
@@ -229,13 +229,13 @@ def test_size_groups_join_a_chunk_only_whole(monkeypatch):
     graphs = [cycle_graph(9)] * 6 + [path_graph(4)] * 3 + [star_graph(4)] * 4
     monkeypatch.setattr(spectral, "ORACLE_CHUNK", 8)
     calls = _count_solver_calls(monkeypatch)
-    algebraic_connectivities(graphs)
+    algebraic_connectivities(GraphArrays.of(graphs))
     # 3 + 4 fit in 8; the group of 6 does not fit beside them
     assert calls == [[4, 4, 4, 5, 5, 5, 5], [9] * 6]
     calls.clear()
     # a group larger than a chunk is cut into chunks of its own, which no
     # later group joins
-    algebraic_connectivities([path_graph(4)] * 10 + [cycle_graph(9)] * 5 + [path_graph(10)] * 3)
+    algebraic_connectivities(GraphArrays.of([path_graph(4)] * 10 + [cycle_graph(9)] * 5 + [path_graph(10)] * 3))
     assert calls == [[4] * 8, [4] * 2, [9] * 5 + [10] * 3]
 
 
@@ -256,7 +256,7 @@ def test_stack_call_matches_per_matrix_calls():
 def test_oracle_agrees_with_lapack_on_generated_graphs(n_range, count, tol):
     cfg = GraphGenConfig(n_range=n_range, p_range=(0.16, 0.95), seed=67)
     graphs = [generate_connected_graph(cfg, idx) for idx in range(count)]
-    ours = algebraic_connectivities(graphs)
+    ours = algebraic_connectivities(GraphArrays.of(graphs))
     for g, value in zip(graphs, ours):
         assert abs(value - np.linalg.eigvalsh(laplacian(g))[1]) <= tol
 
