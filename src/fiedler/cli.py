@@ -316,7 +316,6 @@ def _cmd_train(args) -> int:
     _guard_output(final_ckpt, args.force)
     train_set = load_dataset(args.train_data)
     val_set = load_dataset(args.val_data)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = train_set.arrays.sizes
 
     params, metrics = train(config, train_set, val_set, checkpoint_dir=out_dir)

@@ -16,7 +16,10 @@ built from all edges at once. Without a cache the GRU rounds run in reused buffe
 one, every round's gates, candidate, reset state and new state are views into
 a single block allocated once per pass. Either way the arithmetic follows the
 formulas' operation order, so every value is bitwise that of plain allocating
-numpy expressions.
+numpy expressions. No graph reads another graph's rows, so a large stack runs
+its GRU rounds as two row parts cut at a graph boundary, the second on a
+worker thread; each part is long enough that BLAS gives every row the bits
+the whole stack gives it, so the split changes no value either.
 
 The finite-difference check runs its probes in batches: a stack of copies of
 one graph, each copy with its own parameter set, where every weight product is
@@ -27,8 +30,11 @@ the same order, so every probe's loss is bitwise that of a single-graph pass.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
 import numpy as np
@@ -288,7 +294,7 @@ class ForwardCache:
     rounds: int
     stack: GraphStack
     states: list          # rounds + 1 matrices, states[t] before round t+1
-    messages: list        # aggregated neighbor messages per round
+    messages: np.ndarray  # aggregated neighbor messages, (rounds, rows, H)
     update_gates: list    # z
     reset_gates: list     # r
     candidates: list      # c
@@ -366,6 +372,55 @@ def _segment_mean(x: np.ndarray, stack: GraphStack) -> np.ndarray:
     return sums / stack.sizes[:, None]
 
 
+# Fewest node rows a part of a split stack may have. OpenBLAS gives a row the
+# same bits in every product of 38 or more rows, wherever the row sits, so a
+# part of at least this many rows computes every state bit for bit as the
+# whole stack does (``tests/test_model.py`` checks the property).
+PART_MIN_ROWS = 64
+
+
+def _row_parts(stack: GraphStack) -> list[slice]:
+    """The stack's node rows as one part, or as two split at the graph
+    boundary nearest the middle row when each side has ``PART_MIN_ROWS``."""
+    n = stack.n_total
+    cut = int(stack.offsets[np.abs(2 * stack.offsets - n).argmin()])
+    if min(cut, n - cut) < PART_MIN_ROWS:
+        return [slice(0, n)]
+    return [slice(0, cut), slice(cut, n)]
+
+
+@functools.cache
+def _part_worker() -> ThreadPoolExecutor:
+    """The one thread that runs a split stack's second part; it starts on
+    the first split pass."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiedler-part")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the executor but not its thread
+    os.register_at_fork(after_in_child=_part_worker.cache_clear)
+
+
+def _run_rounds(params: ModelParams, adjacency: sp.csr_matrix, rows: slice, steps) -> None:
+    """Every round of one row part, written into ``rows`` of each buffer.
+
+    ``adjacency`` is the part's diagonal block and ``steps`` holds per round
+    the whole-stack arrays (input state, message or None, z, r, c,
+    ``r * state``, new state). A part reads no row outside its own, so two
+    parts may run at the same time.
+    """
+    scratch = np.empty((rows.stop - rows.start, params.hidden_size))
+    for x, m, z, r, c, rs, out in steps:
+        x = x[rows]
+        sent = adjacency @ np.matmul(x, params.w_msg.T, out=scratch)
+        if m is None:
+            m = sent
+        else:
+            m = m[rows]
+            m[...] = sent
+        _gru_step(params.gru, x, m, out[rows], z[rows], r[rows], c[rows], rs[rows], scratch)
+
+
 def forward_stack(
     params: ModelParams,
     stack: GraphStack,
@@ -380,28 +435,46 @@ def forward_stack(
 
     With a cache, one ``(rounds, 5, rows, H)`` block is allocated up front and
     round t writes its z, r, c, ``r * state`` and new state into the views
-    ``block[t]``, so the cache's per-round lists hold views into that block
-    (the messages, produced by the sparse product, are separate arrays).
-    Without a cache, two state buffers take turns and the gates are reused.
+    ``block[t]``, so the cache's per-round lists hold views into that block;
+    the messages go into their own ``(rounds, rows, H)`` array. Without a
+    cache, two state buffers take turns and the gates are reused.
+
+    A stack of two parts (``_row_parts``) runs the GRU rounds of its second
+    part on one worker thread while the caller runs the first, under the
+    caller's ``np.errstate``; every value is bitwise that of one part. The
+    readout runs once on the whole stack.
     """
     _check_mode(mode)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    x = x0 = initial_state(stack.n_total, params.hidden_size)
-    scratch = np.empty(x.shape)
+    x0 = initial_state(stack.n_total, params.hidden_size)
     if want_cache:
-        block = np.empty((rounds, 5, *x.shape))
+        block = np.empty((rounds, 5, *x0.shape))
+        messages = np.empty((rounds, *x0.shape))
+        states = [x0, *block[:, 4]]
+        steps = [(states[t], messages[t], *block[t]) for t in range(rounds)]
     else:
-        z, r, c, rs, spare = np.empty((5, *x.shape))
-    messages = []
+        z, r, c, rs, spare = np.empty((5, *x0.shape))
+        states = [x0, spare]
+        steps = [(states[t % 2], None, z, r, c, rs, states[1 - t % 2])
+                 for t in range(rounds)]
+    x = steps[-1][-1]
+
+    parts = _row_parts(stack)
     with np.errstate(over="ignore"):
-        for t in range(rounds):
-            m = stack.adjacency @ np.matmul(x, params.w_msg.T, out=scratch)
-            if want_cache:
-                messages.append(m)
-                z, r, c, rs, spare = block[t]
-            _gru_step(params.gru, x, m, spare, z, r, c, rs, scratch)
-            x, spare = spare, x
+        if len(parts) == 1:
+            _run_rounds(params, stack.adjacency, parts[0], steps)
+        else:
+            first, second = parts
+            # numpy keeps errstate in a context variable; hand the worker ours
+            future = _part_worker().submit(
+                contextvars.copy_context().run, _run_rounds,
+                params, stack.adjacency[second, second], second, steps,
+            )
+            try:
+                _run_rounds(params, stack.adjacency[first, first], first, steps)
+            finally:
+                future.result()
 
     if mode == "local":
         readout_input = x
@@ -417,7 +490,7 @@ def forward_stack(
         mode=mode,
         rounds=rounds,
         stack=stack,
-        states=[x0, *block[:, 4]],
+        states=states,
         messages=messages,
         update_gates=list(block[:, 0]),
         reset_gates=list(block[:, 1]),
@@ -648,7 +721,9 @@ def grad_check(
     moves each probe's coordinate by +epsilon or -epsilon, and evaluates every
     probe's loss in one batched forward pass (``_probe_losses``). Each loss,
     and so the result, is bitwise the one of a separate single-graph pass per
-    probe; ``params`` itself is never written. Returns NaN when one
+    probe; ``params`` itself is never written. The coordinates of the readout
+    the mode does not read need no pass: both of their probe losses are the
+    unperturbed loss. Returns NaN when one
     coordinate's error is NaN (say, from a non-finite loss): such a check
     measured nothing and must not pass.
     """
@@ -661,7 +736,7 @@ def grad_check(
     one = GraphArrays.of([g])
     stack = build_stack(one)
     _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
-    _, analytic = backward_stack(params, cache, np.array([float(target)]))
+    loss, analytic = backward_stack(params, cache, np.array([float(target)]))
     theta = flatten_params(params)
     total = theta.size
     if sample is None or max(sample, 500) >= total:
@@ -672,11 +747,26 @@ def grad_check(
     if corrupt:
         analytic[coords[0]] += 1.0
 
-    per_chunk = min(coords.size, max(1, GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)))
+    def rel_errors(idx, numeric):
+        a = analytic[idx]
+        return np.abs(a - numeric) / np.maximum(1e-8, np.abs(a) + np.abs(numeric))
+
+    # Moving a coordinate of the readout the mode never reads leaves both
+    # probe losses at the unperturbed loss, so its central difference is
+    # (loss - loss) / (2 epsilon) without a forward pass.
+    unread = np.zeros(total, dtype=bool)
+    skipped = "readout_global." if mode == "local" else "readout_local."
+    for name, sl, _ in _layout(params.hidden_size):
+        unread[sl] = name.startswith(skipped)
+    idle, coords = coords[unread[coords]], coords[~unread[coords]]
+    rels = [rel_errors(idle, np.full(idle.size, (loss - loss) / (2.0 * epsilon)))]
+
+    per_chunk = max(1, min(coords.size, GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)))
     block = np.empty((2 * per_chunk, total))
     stacks: dict[int, GraphStack] = {}
-    worst = 0.0
     for start in range(0, coords.size, per_chunk):
+        if np.isnan(rels[-1]).any():
+            break  # a NaN error already decides the result
         idx = coords[start : start + per_chunk]
         k = idx.size
         if k not in stacks:
@@ -688,16 +778,10 @@ def grad_check(
         probes[k + rows, idx] = theta[idx] - epsilon
         losses = _probe_losses(probes, stacks[k], float(target), rounds, mode,
                                params.hidden_size)
-        numeric = (losses[:k] - losses[k:]) / (2.0 * epsilon)
-        a = analytic[idx]
-        rel = np.abs(a - numeric) / np.maximum(1e-8, np.abs(a) + np.abs(numeric))
-        nan = np.isnan(rel)
-        if nan.any():
-            return rel[nan.argmax()]
-        top = rel.max()
-        if top > worst:
-            worst = top
-    return worst
+        rels.append(rel_errors(idx, (losses[:k] - losses[k:]) / (2.0 * epsilon)))
+    rel = np.concatenate(rels)
+    nan = np.isnan(rel)
+    return float(rel[nan.argmax()] if nan.any() else rel.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -365,16 +365,19 @@ def test_unknown_flag_is_usage_error():
       "--out-dir", "{tmp}/r"], None, 1, "--lr"),
     (["train", "--train-data", "{train}", "--val-data", "{val}", "--out-dir", "{tmp}/r"],
      "lr=nan\n", 1, "conf.txt:1: lr"),
+    (["train", "--train-data", "{tmp}/empty.txt", "--val-data", "{tmp}/empty.txt",
+      "--out-dir", "{tmp}/r"], None, 2, "non-empty"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
         "conf-epochs", "conf-batch", "sizes", "drop-edges",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
         "train-manifest-json", "train-manifest-key", "drop-from-0", "drop-from-negative",
         "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan",
         "n-min-flag", "conf-n-min", "p-order-flags", "conf-p-min", "sweep-p-order",
-        "simulate-n", "lr-nan", "lr-inf", "conf-lr-nan"])
+        "simulate-n", "lr-nan", "lr-inf", "conf-lr-nan", "train-empty-data"])
 def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
     _, train_file, val_file, run_dir = workspace
     (tmp_path / "nokey.json").write_text('{"config": {}}\n')
+    (tmp_path / "empty.txt").write_text("fiedler-dataset v1 count=0\n")
     names = {"tmp": tmp_path, "train": train_file, "val": val_file,
              "ckpt": run_dir / "checkpoint.txt"}
     argv = [a.format(**names) for a in argv]

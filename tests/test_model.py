@@ -1,5 +1,9 @@
 import itertools
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -415,15 +419,18 @@ def test_large_weights_saturate_without_runtime_warnings():
     # exp(-a) overflows once a gate input a drops below about -709
     gate_input = messages @ p.gru.w_z.T + states @ p.gru.u_z.T + p.gru.b_z
     assert gate_input.min() < -710.0
-    stack = build_stack(GraphArrays.of([rand_graph(s) for s in (1, 2, 3)]))
+    small = build_stack(GraphArrays.of([rand_graph(s) for s in (1, 2, 3)]))
+    split = _stack_of_sizes([8] * 16, 2)
+    assert len(model._row_parts(split)) == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = gru_update(p, states, messages)
         assert np.all(np.isfinite(out))
-        for mode in MODES:
-            for want_cache in (True, False):
-                est, _ = forward_stack(p, stack, 8, mode, want_cache=want_cache)
-                assert np.all(np.isfinite(est))
+        for stack in (small, split):
+            for mode in MODES:
+                for want_cache in (True, False):
+                    est, _ = forward_stack(p, stack, 8, mode, want_cache=want_cache)
+                    assert np.all(np.isfinite(est))
 
 
 # -- readouts -----------------------------------------------------------------
@@ -542,6 +549,154 @@ def test_forward_cache_records_all_steps():
         forward(p, g, 0, "local")
     with pytest.raises(ValueError):
         forward(p, g, 2, "sideways")
+
+
+# -- split stacks -------------------------------------------------------------
+
+
+def _one_part():
+    """Run every stack as one part, the reference a split pass must match."""
+    return mock.patch.object(model, "PART_MIN_ROWS", sys.maxsize)
+
+
+def _stack_of_sizes(sizes, seed):
+    return build_stack(GraphArrays.of([rand_graph(seed + i, n, n) for i, n in enumerate(sizes)]))
+
+
+# 127 rows: the boundary nearest the middle leaves 63 rows on one side; 128
+# rows: 64 on each side; 198 rows of mixed sizes: the boundary sits off the middle
+SPLIT_STACKS = {
+    "127-rows": ([8] * 7 + [7] + [8] * 8, 1, 1),
+    "128-rows": ([8] * 16, 2, 2),
+    "198-rows": ([3, 20, 9, 5, 17, 4, 12, 6, 19, 8, 11, 7, 15, 10, 14, 18, 20], 3, 2),
+}
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 8])
+@pytest.mark.parametrize("h", [1, 8, 32, 64])
+@pytest.mark.parametrize("case", list(SPLIT_STACKS))
+def test_split_stack_is_bitwise_equal_to_one_part(case, h, rounds):
+    sizes, seed, n_parts = SPLIT_STACKS[case]
+    stack = _stack_of_sizes(sizes, seed)
+    assert len(model._row_parts(stack)) == n_parts
+    p = _perturbed_params(h, seed=h + rounds)
+    targets = np.linspace(0.2, 2.0, len(sizes))
+    for mode in MODES:
+        got = [forward_stack(p, stack, rounds, mode, want_cache=w) for w in (True, False)]
+        with _one_part():
+            want = [forward_stack(p, stack, rounds, mode, want_cache=w) for w in (True, False)]
+        (est, cache), (est_nocache, _) = got
+        (ref, ref_cache), (ref_nocache, _) = want
+        assert est.tobytes() == est_nocache.tobytes() == ref.tobytes() == ref_nocache.tobytes()
+        for name in _CACHE_LISTS:
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(getattr(cache, name), getattr(ref_cache, name))), name
+        for name in _CACHE_ARRAYS:
+            assert getattr(cache, name).tobytes() == getattr(ref_cache, name).tobytes(), name
+        assert (backward_stack(p, cache, targets)[1].tobytes()
+                == backward_stack(p, ref_cache, targets)[1].tobytes())
+
+
+def test_split_stack_of_a_training_batch_is_bitwise_equal_to_one_part():
+    """A batch the size the benchmark trains on: 256 graphs of 9-11 nodes."""
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.2, 0.8), seed=41)
+    arrays = GraphArrays.of([generate_connected_graph(cfg, i) for i in range(256)])
+    stack = build_stack(arrays)
+    assert len(model._row_parts(stack)) == 2
+    p = _perturbed_params(32, seed=41)
+    est, cache = forward_stack(p, stack, 8, "local")
+    with _one_part():
+        ref, ref_cache = forward_stack(p, stack, 8, "local")
+    assert est.tobytes() == ref.tobytes()
+    for name in _CACHE_LISTS:
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(getattr(cache, name), getattr(ref_cache, name))), name
+
+
+@pytest.mark.parametrize("h", [8, 16, 32, 64])
+def test_matmul_row_bits_do_not_depend_on_rows_or_offset(h):
+    """The platform property a split pass rests on: in a product of at least
+    ``PART_MIN_ROWS`` rows with an ``(H, H)`` weight, a row gets the bits it
+    gets in any other such product, at any offset in the block and written
+    with or without ``out=``. A BLAS that breaks it fails here."""
+    rng = np.random.default_rng(h)
+    w = param_views(rng.normal(size=param_count(h)), h).gru.w_z
+    x = rng.normal(size=(400, h))
+    full = x @ w.T
+    lo = model.PART_MIN_ROWS
+    for rows in (lo, lo + 1, 97, 128, 200, 333):
+        out = np.empty((rows, h))
+        for offset in sorted({0, 1, 3, 17, 63, 64, 65, 400 - rows}):
+            if offset + rows > 400:
+                continue
+            part = x[offset : offset + rows]
+            np.matmul(part, w.T, out=out)
+            want = full[offset : offset + rows].tobytes()
+            assert (part @ w.T).tobytes() == want == out.tobytes(), (rows, offset)
+
+
+def test_split_pass_runs_the_worker_under_the_callers_errstate():
+    stack = _stack_of_sizes([8] * 16, 2)
+    seen = []
+
+    def spy(*args):
+        seen.append((threading.current_thread(), np.geterr()))
+        return run_rounds(*args)
+
+    run_rounds = model._run_rounds
+    p = init_params(8, seed=0)
+    with mock.patch.object(model, "_run_rounds", spy), np.errstate(invalid="ignore"):
+        forward_stack(p, stack, 2, "global", want_cache=False)
+    assert len(seen) == 2
+    assert seen[0][0] is not seen[1][0]
+    for _, err in seen:
+        assert err["invalid"] == "ignore" and err["over"] == "ignore"
+
+
+def _split_estimates(p, stack):
+    return forward_stack(p, stack, 2, "local")[0].tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_split_pass_runs_in_a_forked_child():
+    """A child forked after a split pass starts a worker of its own instead
+    of waiting on the parent's, whose thread it did not inherit."""
+    stack = _stack_of_sizes([8] * 16, 2)
+    p = init_params(8, seed=0)
+    want = _split_estimates(p, stack)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_split_estimates, (p, stack)).get(timeout=60) == want
+
+
+def test_split_passes_from_many_threads_stay_bitwise():
+    """Four callers (more than the cores) share the one part worker with a
+    short switch interval; every pass still gives the one-part bits."""
+    stack = _stack_of_sizes([3, 20, 9, 5, 17, 4, 12, 6, 19, 8, 11, 7, 15, 10, 14, 18, 20], 3)
+    p = _perturbed_params(16, seed=5)
+    with _one_part():
+        want = forward_stack(p, stack, 4, "local")[0].tobytes()
+    results, errors = [], []
+
+    def caller():
+        try:
+            for _ in range(20):
+                results.append(forward_stack(p, stack, 4, "local")[0].tobytes())
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [want] * 80
 
 
 # -- backward -----------------------------------------------------------------
@@ -743,6 +898,18 @@ def test_batched_matmul_is_bitwise_equal_to_per_item_products(h):
             want = x[i] @ w[i].copy().T
             assert batched[i].tobytes() == want.tobytes() == out[i].tobytes(), (n, i)
             assert column[i, :, 0].tobytes() == (x[i] @ col[i, :, 0].copy()).tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_grad_check_probes_only_the_readout_the_mode_reads(mode):
+    """At H=8, 81 of the 634 coordinates belong to the other mode's readout;
+    they are scored without probes, and the result is the reference's."""
+    g = rand_graph(352, 5, 5)
+    p = init_params(8, seed=952)
+    with mock.patch.object(model, "_probe_losses", wraps=model._probe_losses) as probe:
+        got = grad_check(p, g, 2, mode)
+    assert sum(c.args[0].shape[0] for c in probe.call_args_list) == 2 * (634 - 81)
+    assert got.hex() == _grad_check_copying(p, g, 2, mode).hex()
 
 
 def test_grad_check_memory_stays_within_the_chunk_budget():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_graph
+from fiedler import model
 from fiedler.data import Dataset, generate_dataset
 from fiedler.graphs import GraphGenConfig, generate_connected_graph
 from fiedler.model import (
@@ -325,6 +327,22 @@ def test_divergence_aborts_with_diagnostic(tiny_sets):
                          learning_rate=1e200, batch_size=16, seed=10)
     with pytest.raises(RuntimeError, match="diverged"):
         train(config, train_ds, val_ds)
+
+
+def test_divergence_in_split_batches_aborts_with_diagnostic():
+    """Batches of 32 graphs of 6-8 nodes (192-256 rows) split in two parts,
+    so the worker thread meets the overflow and NaNs too: it runs under the
+    training loop's errstate and raises no RuntimeWarning."""
+    cfg = GraphGenConfig(n_range=(6, 8), p_range=(0.3, 0.7), seed=503)
+    train_ds = generate_dataset(cfg, 96)
+    val_ds = generate_dataset(replace(cfg, seed=504), 8)
+    assert len(model._row_parts(build_stack(train_ds.arrays.take(np.arange(32))))) == 2
+    config = TrainConfig(rounds=2, mode="local", hidden_size=8, epochs=3,
+                         learning_rate=1e200, batch_size=32, seed=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="training diverged"):
+            train(config, train_ds, val_ds)
 
 
 def test_train_keeps_one_forward_cache_alive():
