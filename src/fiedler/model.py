@@ -19,7 +19,10 @@ formulas' operation order, so every value is bitwise that of plain allocating
 numpy expressions. No graph reads another graph's rows, so a large stack runs
 its GRU rounds as two row parts cut at a graph boundary, the second on a
 worker thread; each part is long enough that BLAS gives every row the bits
-the whole stack gives it, so the split changes no value either.
+the whole stack gives it, so the split changes no value either. The reverse
+pass of such a stack runs each round's weight-gradient sums on that worker
+while the caller runs the next round's row-local chain; each sum is the same
+whole-stack product, added in round order, so no gradient bit moves.
 
 The finite-difference check runs its probes in batches: a stack of copies of
 one graph, each copy with its own parameter set, where every weight product is
@@ -372,28 +375,41 @@ def _segment_mean(x: np.ndarray, stack: GraphStack) -> np.ndarray:
     return sums / stack.sizes[:, None]
 
 
-# Fewest node rows a part of a split stack may have. OpenBLAS gives a row the
-# same bits in every product of 38 or more rows, wherever the row sits, so a
-# part of at least this many rows computes every state bit for bit as the
-# whole stack does (``tests/test_model.py`` checks the property).
+# When a stack runs as two row parts. Each part needs at least PART_MIN_ROWS
+# node rows: OpenBLAS gives a row the same bits in every product of 38 or more
+# rows, wherever the row sits, so such a part computes every state bit for bit
+# as the whole stack does (``tests/test_model.py`` checks the property). Each
+# part also needs at least PART_MIN_VALUES state values (rows times H): below
+# that, two threads of short numpy calls handing the GIL back and forth cost
+# more than they save, so the pass runs slower split than whole.
 PART_MIN_ROWS = 64
+PART_MIN_VALUES = 1 << 13
 
 
-def _row_parts(stack: GraphStack) -> list[slice]:
+def _row_parts(stack: GraphStack, hidden_size: int) -> list[slice]:
     """The stack's node rows as one part, or as two split at the graph
-    boundary nearest the middle row when each side has ``PART_MIN_ROWS``."""
+    boundary nearest the middle row when each side has ``PART_MIN_ROWS``
+    rows and ``PART_MIN_VALUES`` state values."""
     n = stack.n_total
     cut = int(stack.offsets[np.abs(2 * stack.offsets - n).argmin()])
-    if min(cut, n - cut) < PART_MIN_ROWS:
+    side = min(cut, n - cut)
+    if side < PART_MIN_ROWS or side * hidden_size < PART_MIN_VALUES:
         return [slice(0, n)]
     return [slice(0, cut), slice(cut, n)]
 
 
 @functools.cache
 def _part_worker() -> ThreadPoolExecutor:
-    """The one thread that runs a split stack's second part; it starts on
-    the first split pass."""
+    """The one thread that runs a split stack's second part in a forward
+    pass and its weight-gradient sums in a backward pass; it starts on the
+    first split pass."""
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiedler-part")
+
+
+def _submit(fn, *args):
+    """Run ``fn(*args)`` on the part worker under the caller's context:
+    numpy keeps ``np.errstate`` in a context variable, so hand the worker ours."""
+    return _part_worker().submit(contextvars.copy_context().run, fn, *args)
 
 
 if hasattr(os, "register_at_fork"):
@@ -460,17 +476,14 @@ def forward_stack(
                  for t in range(rounds)]
     x = steps[-1][-1]
 
-    parts = _row_parts(stack)
+    parts = _row_parts(stack, params.hidden_size)
     with np.errstate(over="ignore"):
         if len(parts) == 1:
             _run_rounds(params, stack.adjacency, parts[0], steps)
         else:
             first, second = parts
-            # numpy keeps errstate in a context variable; hand the worker ours
-            future = _part_worker().submit(
-                contextvars.copy_context().run, _run_rounds,
-                params, stack.adjacency[second, second], second, steps,
-            )
+            future = _submit(_run_rounds, params, stack.adjacency[second, second],
+                             second, steps)
             try:
                 _run_rounds(params, stack.adjacency[first, first], first, steps)
             finally:
@@ -530,6 +543,18 @@ def stack_loss(
     return float(np.mean(stack_losses(estimates, stack, targets, mode)))
 
 
+def _weight_sums(acc: np.ndarray, terms) -> None:
+    """Add to ``acc`` the weight-gradient sums over every node row of
+    ``terms``: ``d.T @ x`` for each ``(d, x)``, or ``d.sum(axis=-2)`` where
+    ``x`` is None; a ``(k, rows, H)`` stack ``d`` gives its k sums in order,
+    each by the product or sum its own ``(rows, H)`` slice would make.
+    ``acc`` is the flat gradient's span of those tensors, in their order, so
+    one add updates every coordinate as its own ``+=`` would."""
+    acc += np.concatenate(
+        [(d.sum(axis=-2) if x is None else np.matmul(_t(d), x)).ravel() for d, x in terms]
+    )
+
+
 def backward_stack(
     params: ModelParams,
     cache: ForwardCache,
@@ -539,6 +564,13 @@ def backward_stack(
 
     Returns (loss, grad) with ``grad`` one flat float64 vector in the
     canonical tensor order of ``param_views``.
+
+    Each round's reverse chain (the gate, message and state gradients) is
+    row-local, and the next round's chain never reads the weight-gradient
+    sums over all node rows (``_weight_sums``). So for a stack of two parts
+    (``_row_parts``) the sums run on the part worker, one round at a time in
+    round order, while the caller runs the next round's chain; each sum is
+    the whole-stack product a serial pass makes, so every bit is the same.
     """
     stack = cache.stack
     mode = cache.mode
@@ -550,70 +582,92 @@ def backward_stack(
     loss = float(np.mean(per_graph))
 
     grad = np.zeros(param_count(params.hidden_size))
-    grads = param_views(grad, params.hidden_size)
-    gru, g_gru = params.gru, grads.gru
+    span = {name: sl for name, sl, _ in _layout(params.hidden_size)}
+    # w_msg, the six GRU matrices and the three GRU biases lie end to end,
+    # and so do the readout's w1, b1, w2 and b2
+    g_rounds = grad[: span["gru.b_c"].stop]
+    g_ro = grad[span[f"readout_{mode}.w1"].start : span[f"readout_{mode}.b2"].stop]
+    gru = params.gru
 
     # d(mean loss)/d(estimate)
     if mode == "local":
         err = cache.estimates - np.repeat(targets, stack.sizes)
         d_est = err / (stack.sizes[stack.node_graph] * n_graphs)
-        ro, g_ro = params.readout_local, grads.readout_local
+        ro = params.readout_local
     else:
         d_est = (cache.estimates - targets) / n_graphs
-        ro, g_ro = params.readout_global, grads.readout_global
+        ro = params.readout_global
 
-    d_hidden = d_est[:, None] * ro.w2[None, :]
-    d_preact = np.where(cache.readout_preact > 0.0, d_hidden, 0.0)
-    g_ro.w1 += d_preact.T @ cache.readout_input
-    g_ro.b1 += d_preact.sum(axis=0)
-    g_ro.w2 += cache.readout_hidden.T @ d_est
-    g_ro.b2 += float(d_est.sum())
-    d_input = d_preact @ ro.w1
+    overlap = len(_row_parts(stack, params.hidden_size)) == 2
+    pending = None
 
-    if mode == "local":
-        dx = d_input
-    else:
-        dx = np.repeat(d_input / stack.sizes[:, None], stack.sizes, axis=0)
+    def add_sums(acc, terms) -> None:
+        nonlocal pending
+        if not overlap:
+            _weight_sums(acc, terms)
+            return
+        if pending is not None:
+            pending.result()  # at most one round's sums in flight
+        pending = _submit(_weight_sums, acc, terms)
 
-    for t in range(cache.rounds - 1, -1, -1):
-        x_prev = cache.states[t]
-        m = cache.messages[t]
-        z = cache.update_gates[t]
-        r = cache.reset_gates[t]
-        c = cache.candidates[t]
-        rs = cache.reset_states[t]
+    try:
+        d_hidden = d_est[:, None] * ro.w2[None, :]
+        d_preact = np.where(cache.readout_preact > 0.0, d_hidden, 0.0)
+        # w1, b1, w2, b2; a (rows, 1) column sums as the vector does
+        add_sums(g_ro, ((d_preact, cache.readout_input), (d_preact, None),
+                        (cache.readout_hidden, d_est), (d_est[:, None], None)))
+        d_input = d_preact @ ro.w1
 
-        dz = dx * (c - x_prev)
-        dc = dx * z
-        dx_prev = dx * (1.0 - z)
+        if mode == "local":
+            dx = d_input
+        else:
+            dx = np.repeat(d_input / stack.sizes[:, None], stack.sizes, axis=0)
 
-        d_ac = dc * (1.0 - c * c)
-        g_gru.w_c += d_ac.T @ m
-        g_gru.u_c += d_ac.T @ rs
-        g_gru.b_c += d_ac.sum(axis=0)
-        dm = d_ac @ gru.w_c
-        d_rs = d_ac @ gru.u_c
-        dx_prev += d_rs * r
-        dr = d_rs * x_prev
+        for t in range(cache.rounds - 1, -1, -1):
+            x_prev = cache.states[t]
+            m = cache.messages[t]
+            z = cache.update_gates[t]
+            r = cache.reset_gates[t]
+            c = cache.candidates[t]
+            rs = cache.reset_states[t]
 
-        d_ar = dr * r * (1.0 - r)
-        g_gru.w_r += d_ar.T @ m
-        g_gru.u_r += d_ar.T @ x_prev
-        g_gru.b_r += d_ar.sum(axis=0)
-        dm += d_ar @ gru.w_r
-        dx_prev += d_ar @ gru.u_r
+            # the gate-input gradients, each written in place in the formulas'
+            # operation order (d_az = ((dx * (c - x_prev)) * z) * (1 - z), ...)
+            # into one block, so that _weight_sums makes one batched product
+            # per shared right operand
+            d_gates = np.empty((3, *dx.shape))
+            d_az, d_ar, d_ac = d_gates
+            np.multiply(dx, c - x_prev, out=d_az)
+            d_az *= z
+            d_az *= 1.0 - z
+            np.multiply(dx, z, out=d_ac)
+            d_ac *= 1.0 - c * c
+            dx_prev = dx * (1.0 - z)
 
-        d_az = dz * z * (1.0 - z)
-        g_gru.w_z += d_az.T @ m
-        g_gru.u_z += d_az.T @ x_prev
-        g_gru.b_z += d_az.sum(axis=0)
-        dm += d_az @ gru.w_z
-        dx_prev += d_az @ gru.u_z
+            d_rs = d_ac @ gru.u_c
+            np.multiply(d_rs, x_prev, out=d_ar)
+            d_ar *= r
+            d_ar *= 1.0 - r
+            dx_prev += d_rs * r
+            dx_prev += d_ar @ gru.u_r
+            dx_prev += d_az @ gru.u_z
 
-        # message aggregation is symmetric: transpose of adjacency is itself
-        d_sent = stack.adjacency @ dm
-        grads.w_msg += d_sent.T @ x_prev
-        dx = dx_prev + d_sent @ params.w_msg
+            dm = d_ac @ gru.w_c
+            dm += d_ar @ gru.w_r
+            dm += d_az @ gru.w_z
+            # message aggregation is symmetric: transpose of adjacency is itself
+            d_sent = stack.adjacency @ dm
+            add_sums(g_rounds, (
+                (d_sent, x_prev),          # w_msg
+                (d_gates, m),              # w_z, w_r, w_c
+                (d_gates[:2], x_prev),     # u_z, u_r
+                (d_ac, rs),                # u_c
+                (d_gates, None),           # b_z, b_r, b_c
+            ))
+            dx = dx_prev + d_sent @ params.w_msg
+    finally:
+        if pending is not None:
+            pending.result()
 
     return loss, grad
 

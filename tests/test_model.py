@@ -4,8 +4,10 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -344,6 +346,58 @@ def _forward_stack_allocating(params, stack, rounds, mode):
                         readout_input, preact, hidden, estimates)
 
 
+def _backward_stack_allocating(params, cache, targets):
+    """Reference: the reverse pass with one ``+=`` per weight-gradient tensor
+    per round, each on its own view of the flat gradient."""
+    stack, mode, n_graphs = cache.stack, cache.mode, len(cache.stack.sizes)
+    grad = np.zeros(param_count(params.hidden_size))
+    grads = param_views(grad, params.hidden_size)
+    gru, g_gru = params.gru, grads.gru
+    if mode == "local":
+        err = cache.estimates - np.repeat(targets, stack.sizes)
+        d_est = err / (stack.sizes[stack.node_graph] * n_graphs)
+        ro, g_ro = params.readout_local, grads.readout_local
+    else:
+        d_est = (cache.estimates - targets) / n_graphs
+        ro, g_ro = params.readout_global, grads.readout_global
+    d_preact = np.where(cache.readout_preact > 0.0, d_est[:, None] * ro.w2[None, :], 0.0)
+    g_ro.w1 += d_preact.T @ cache.readout_input
+    g_ro.b1 += d_preact.sum(axis=0)
+    g_ro.w2 += cache.readout_hidden.T @ d_est
+    g_ro.b2 += float(d_est.sum())
+    d_input = d_preact @ ro.w1
+    dx = d_input if mode == "local" else np.repeat(
+        d_input / stack.sizes[:, None], stack.sizes, axis=0)
+    for t in range(cache.rounds - 1, -1, -1):
+        x_prev, m = cache.states[t], cache.messages[t]
+        z, r, c = cache.update_gates[t], cache.reset_gates[t], cache.candidates[t]
+        dz = dx * (c - x_prev)
+        dx_prev = dx * (1.0 - z)
+        d_ac = dx * z * (1.0 - c * c)
+        g_gru.w_c += d_ac.T @ m
+        g_gru.u_c += d_ac.T @ cache.reset_states[t]
+        g_gru.b_c += d_ac.sum(axis=0)
+        dm = d_ac @ gru.w_c
+        d_rs = d_ac @ gru.u_c
+        dx_prev += d_rs * r
+        d_ar = d_rs * x_prev * r * (1.0 - r)
+        g_gru.w_r += d_ar.T @ m
+        g_gru.u_r += d_ar.T @ x_prev
+        g_gru.b_r += d_ar.sum(axis=0)
+        dm += d_ar @ gru.w_r
+        dx_prev += d_ar @ gru.u_r
+        d_az = dz * z * (1.0 - z)
+        g_gru.w_z += d_az.T @ m
+        g_gru.u_z += d_az.T @ x_prev
+        g_gru.b_z += d_az.sum(axis=0)
+        dm += d_az @ gru.w_z
+        dx_prev += d_az @ gru.u_z
+        d_sent = stack.adjacency @ dm
+        grads.w_msg += d_sent.T @ x_prev
+        dx = dx_prev + d_sent @ params.w_msg
+    return float(np.mean(model.stack_losses(cache.estimates, stack, targets, mode))), grad
+
+
 def _perturbed_params(h, seed):
     """Initial parameters with every coordinate moved, biases included."""
     vec = flatten_params(init_params(h, seed))
@@ -385,7 +439,7 @@ def test_forward_backward_bitwise_equal_to_allocating_reference(mode, rounds):
         assert not np.shares_memory(a, b)
 
     loss, grads = backward_stack(p, cache, targets)
-    ref_loss, ref_grads = backward_stack(p, want, targets)
+    ref_loss, ref_grads = _backward_stack_allocating(p, want, targets)
     assert loss.hex() == ref_loss.hex()
     assert grads.tobytes() == ref_grads.tobytes()
 
@@ -421,8 +475,8 @@ def test_large_weights_saturate_without_runtime_warnings():
     assert gate_input.min() < -710.0
     small = build_stack(GraphArrays.of([rand_graph(s) for s in (1, 2, 3)]))
     split = _stack_of_sizes([8] * 16, 2)
-    assert len(model._row_parts(split)) == 2
-    with warnings.catch_warnings():
+    with _split_small(), warnings.catch_warnings():
+        assert len(model._row_parts(split, h)) == 2
         warnings.simplefilter("error")
         out = gru_update(p, states, messages)
         assert np.all(np.isfinite(out))
@@ -559,6 +613,46 @@ def _one_part():
     return mock.patch.object(model, "PART_MIN_ROWS", sys.maxsize)
 
 
+def _split_small():
+    """Split every stack with ``PART_MIN_ROWS`` rows on each side, however
+    few state values its parts hold, so small stacks test the split."""
+    return mock.patch.object(model, "PART_MIN_VALUES", 0)
+
+
+def _edgeless_stack(sizes):
+    return build_stack(GraphArrays.from_counts(sizes, [0] * len(sizes), np.empty(0, np.intp)))
+
+
+# (graph sizes, H, parts): each part needs 64 rows and 8192 state values (rows x H)
+ROW_PARTS_TABLE = [
+    ([10], 64, 1),                  # one graph
+    ([1] * 128, 128, 2),            # 64 rows and 8192 values on each side
+    ([1] * 128, 127, 1),            # 64 rows but 8128 values
+    ([1] * 127, 256, 1),            # 63 rows on one side, 16128 values
+    ([1] * 512, 32, 2),             # 256 x 32 on each side
+    ([1] * 511, 32, 1),             # the cut leaves 255 x 32 on one side
+    ([64] * 256, 1, 2),             # 8192 x 1 on each side
+    ([64] * 255 + [63], 1, 1),      # 8191 x 1 after the cut
+    ([8] * 16, 64, 1),              # 64 rows x 64 = 4096 values on each side
+    ([10] * 16, 32, 1),             # 160 rows: 80 x 32 on each side
+    ([10] * 64, 32, 2),             # 640 rows: 320 x 32 on each side
+    ([10] * 128, 8, 1),             # 1280 rows: 640 x 8 on each side
+    ([10] * 256, 8, 2),             # 2560 rows: 1280 x 8 on each side
+]
+
+
+@pytest.mark.parametrize("sizes, h, n_parts", ROW_PARTS_TABLE)
+def test_row_parts_needs_rows_and_values_on_each_side(sizes, h, n_parts):
+    assert (model.PART_MIN_ROWS, model.PART_MIN_VALUES) == (64, 1 << 13)
+    stack = _edgeless_stack(sizes)
+    parts = model._row_parts(stack, h)
+    assert len(parts) == n_parts
+    assert parts[0].start == 0 and parts[-1].stop == stack.n_total
+    if n_parts == 2:
+        assert parts[0].stop == parts[1].start
+        assert parts[0].stop in stack.offsets
+
+
 def _stack_of_sizes(sizes, seed):
     return build_stack(GraphArrays.of([rand_graph(seed + i, n, n) for i, n in enumerate(sizes)]))
 
@@ -578,13 +672,16 @@ SPLIT_STACKS = {
 def test_split_stack_is_bitwise_equal_to_one_part(case, h, rounds):
     sizes, seed, n_parts = SPLIT_STACKS[case]
     stack = _stack_of_sizes(sizes, seed)
-    assert len(model._row_parts(stack)) == n_parts
     p = _perturbed_params(h, seed=h + rounds)
     targets = np.linspace(0.2, 2.0, len(sizes))
     for mode in MODES:
-        got = [forward_stack(p, stack, rounds, mode, want_cache=w) for w in (True, False)]
+        with _split_small():
+            assert len(model._row_parts(stack, h)) == n_parts
+            got = [forward_stack(p, stack, rounds, mode, want_cache=w) for w in (True, False)]
+            got_backward = backward_stack(p, got[0][1], targets)
         with _one_part():
             want = [forward_stack(p, stack, rounds, mode, want_cache=w) for w in (True, False)]
+            want_backward = backward_stack(p, want[0][1], targets)
         (est, cache), (est_nocache, _) = got
         (ref, ref_cache), (ref_nocache, _) = want
         assert est.tobytes() == est_nocache.tobytes() == ref.tobytes() == ref_nocache.tobytes()
@@ -593,24 +690,32 @@ def test_split_stack_is_bitwise_equal_to_one_part(case, h, rounds):
                        for a, b in zip(getattr(cache, name), getattr(ref_cache, name))), name
         for name in _CACHE_ARRAYS:
             assert getattr(cache, name).tobytes() == getattr(ref_cache, name).tobytes(), name
-        assert (backward_stack(p, cache, targets)[1].tobytes()
-                == backward_stack(p, ref_cache, targets)[1].tobytes())
+        assert got_backward[0].hex() == want_backward[0].hex()
+        assert got_backward[1].tobytes() == want_backward[1].tobytes()
 
 
 def test_split_stack_of_a_training_batch_is_bitwise_equal_to_one_part():
-    """A batch the size the benchmark trains on: 256 graphs of 9-11 nodes."""
+    """A batch the size the benchmark trains on: 256 graphs of 9-11 nodes,
+    which the rule splits at H=32 with no patch."""
     cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.2, 0.8), seed=41)
     arrays = GraphArrays.of([generate_connected_graph(cfg, i) for i in range(256)])
     stack = build_stack(arrays)
-    assert len(model._row_parts(stack)) == 2
+    assert len(model._row_parts(stack, 32)) == 2
     p = _perturbed_params(32, seed=41)
+    targets = np.linspace(0.2, 2.0, len(arrays))
     est, cache = forward_stack(p, stack, 8, "local")
+    loss, grad = backward_stack(p, cache, targets)
     with _one_part():
         ref, ref_cache = forward_stack(p, stack, 8, "local")
+        ref_loss, ref_grad = backward_stack(p, ref_cache, targets)
     assert est.tobytes() == ref.tobytes()
     for name in _CACHE_LISTS:
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(getattr(cache, name), getattr(ref_cache, name))), name
+    # and both match the per-tensor reverse pass at this size too
+    want_loss, want_grad = _backward_stack_allocating(p, ref_cache, targets)
+    assert loss.hex() == ref_loss.hex() == want_loss.hex()
+    assert grad.tobytes() == ref_grad.tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("h", [8, 16, 32, 64])
@@ -645,7 +750,8 @@ def test_split_pass_runs_the_worker_under_the_callers_errstate():
 
     run_rounds = model._run_rounds
     p = init_params(8, seed=0)
-    with mock.patch.object(model, "_run_rounds", spy), np.errstate(invalid="ignore"):
+    with (_split_small(), mock.patch.object(model, "_run_rounds", spy),
+          np.errstate(invalid="ignore")):
         forward_stack(p, stack, 2, "global", want_cache=False)
     assert len(seen) == 2
     assert seen[0][0] is not seen[1][0]
@@ -663,40 +769,148 @@ def test_split_pass_runs_in_a_forked_child():
     of waiting on the parent's, whose thread it did not inherit."""
     stack = _stack_of_sizes([8] * 16, 2)
     p = init_params(8, seed=0)
-    want = _split_estimates(p, stack)
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(_split_estimates, (p, stack)).get(timeout=60) == want
+    with _split_small():  # the child inherits the patched threshold
+        want = _split_estimates(p, stack)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_split_estimates, (p, stack)).get(timeout=60) == want
+
+
+def _pass_bytes(p, stack, targets):
+    """Estimates, loss and gradient of one forward and backward pass."""
+    est, cache = forward_stack(p, stack, 4, "local")
+    loss, grad = backward_stack(p, cache, targets)
+    return est.tobytes(), loss.hex(), grad.tobytes()
 
 
 def test_split_passes_from_many_threads_stay_bitwise():
     """Four callers (more than the cores) share the one part worker with a
-    short switch interval; every pass still gives the one-part bits."""
-    stack = _stack_of_sizes([3, 20, 9, 5, 17, 4, 12, 6, 19, 8, 11, 7, 15, 10, 14, 18, 20], 3)
+    short switch interval, in forward and backward passes; every pass still
+    gives the one-part bits."""
+    sizes = [3, 20, 9, 5, 17, 4, 12, 6, 19, 8, 11, 7, 15, 10, 14, 18, 20]
+    stack = _stack_of_sizes(sizes, 3)
     p = _perturbed_params(16, seed=5)
+    targets = np.linspace(0.2, 2.0, len(sizes))
     with _one_part():
-        want = forward_stack(p, stack, 4, "local")[0].tobytes()
+        want = _pass_bytes(p, stack, targets)
     results, errors = [], []
 
     def caller():
         try:
             for _ in range(20):
-                results.append(forward_stack(p, stack, 4, "local")[0].tobytes())
+                results.append(_pass_bytes(p, stack, targets))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=caller) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        with _split_small():
+            assert len(model._row_parts(stack, 16)) == 2
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [want] * 80
+
+
+def _split_case():
+    """Parameters, a forward cache of the 198-row stack (H=8, T=3) and its
+    targets: the input of a backward pass that overlaps under _split_small."""
+    sizes = SPLIT_STACKS["198-rows"][0]
+    p = _perturbed_params(8, seed=3)
+    _, cache = forward_stack(p, _stack_of_sizes(sizes, 3), 3, "local")
+    return p, cache, np.linspace(0.2, 2.0, len(sizes))
+
+
+def _patched_weight_sums(before=None, after=None):
+    """Patch ``_weight_sums`` with one that calls ``before()`` and
+    ``after()`` around the real sums."""
+    weight_sums = model._weight_sums
+
+    def spy(*args):
+        if before is not None:
+            before()
+        weight_sums(*args)
+        if after is not None:
+            after()
+
+    return mock.patch.object(model, "_weight_sums", spy)
+
+
+def test_overlapped_backward_sums_on_the_worker_under_the_callers_errstate():
+    p, cache, targets = _split_case()
+    for split, on_worker in ((_split_small, True), (_one_part, False)):
+        seen = []
+        record = lambda: seen.append((threading.current_thread(), np.geterr()))
+        with split(), _patched_weight_sums(record), np.errstate(invalid="ignore"):
+            backward_stack(p, cache, targets)
+        assert len(seen) == 4  # the readout's sums, then one job per round
+        for thread, err in seen:
+            assert (thread is not threading.current_thread()) is on_worker
+            assert err["invalid"] == "ignore"
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_overlapped_backward_raises_a_worker_error_and_recovers(k):
+    """Sums job k (0: the readout's, 3: the last round's) raises on the
+    worker: the call raises it before it submits another job, and the next
+    call gives the serial bits."""
+    p, cache, targets = _split_case()
+    jobs = []
+
+    def fail_at_k():
+        jobs.append(threading.current_thread())
+        if len(jobs) == k + 1:
+            raise FloatingPointError(f"job {k}")
+
+    with _split_small():
+        with _patched_weight_sums(fail_at_k), pytest.raises(FloatingPointError, match=f"job {k}"):
+            backward_stack(p, cache, targets)
+        assert len(jobs) == k + 1
+        assert threading.current_thread() not in jobs
+        got_loss, got = backward_stack(p, cache, targets)
+    with _one_part():
+        want_loss, want = backward_stack(p, cache, targets)
+    assert got_loss.hex() == want_loss.hex()
+    assert got.tobytes() == want.tobytes()
+
+
+class _AdjacencyFailingAfter:
+    """An adjacency whose products raise after the first ``calls`` ones."""
+
+    def __init__(self, adjacency, calls):
+        self.adjacency, self.calls = adjacency, calls
+
+    def __matmul__(self, other):
+        self.calls -= 1
+        if self.calls < 0:
+            raise FloatingPointError("chain")
+        return self.adjacency @ other
+
+
+@pytest.mark.parametrize("chain_fails", [False, True])
+def test_overlapped_backward_returns_only_after_its_last_sums(chain_fails):
+    """Slow sums jobs: the call, returning or raising from the chain of round
+    2 of 3, waits until every job it submitted has ended."""
+    p, cache, targets = _split_case()
+    if chain_fails:
+        stack = replace(cache.stack, adjacency=_AdjacencyFailingAfter(cache.stack.adjacency, 1))
+        cache = replace(cache, stack=stack)
+    started, ended = [], []
+    slow_start = lambda: (started.append(1), time.sleep(0.05))
+    with _split_small(), _patched_weight_sums(slow_start, lambda: ended.append(1)):
+        if chain_fails:
+            with pytest.raises(FloatingPointError, match="chain"):
+                backward_stack(p, cache, targets)
+        else:
+            backward_stack(p, cache, targets)
+        done = len(ended)
+    assert done == len(started) == (2 if chain_fails else 4)
 
 
 # -- backward -----------------------------------------------------------------

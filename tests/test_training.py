@@ -1,6 +1,8 @@
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -330,19 +332,29 @@ def test_divergence_aborts_with_diagnostic(tiny_sets):
 
 
 def test_divergence_in_split_batches_aborts_with_diagnostic():
-    """Batches of 32 graphs of 6-8 nodes (192-256 rows) split in two parts,
-    so the worker thread meets the overflow and NaNs too: it runs under the
-    training loop's errstate and raises no RuntimeWarning."""
-    cfg = GraphGenConfig(n_range=(6, 8), p_range=(0.3, 0.7), seed=503)
-    train_ds = generate_dataset(cfg, 96)
+    """Batches of 64 graphs of 9-11 nodes (about 640 rows) at H=32 split in
+    two parts, so the forward worker meets the overflow and NaNs, and so does
+    the backward worker, whose weight sums turn non-finite: both run under
+    the training loop's errstate and raise no RuntimeWarning."""
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.3, 0.7), seed=503)
+    train_ds = generate_dataset(cfg, 128)
     val_ds = generate_dataset(replace(cfg, seed=504), 8)
-    assert len(model._row_parts(build_stack(train_ds.arrays.take(np.arange(32))))) == 2
-    config = TrainConfig(rounds=2, mode="local", hidden_size=8, epochs=3,
-                         learning_rate=1e200, batch_size=32, seed=10)
-    with warnings.catch_warnings():
+    assert len(model._row_parts(build_stack(train_ds.arrays.take(np.arange(64))), 32)) == 2
+    config = TrainConfig(rounds=2, mode="local", hidden_size=32, epochs=3,
+                         learning_rate=1e200, batch_size=64, seed=10)
+    weight_sums = model._weight_sums
+    worker_sums = []
+
+    def spy(acc, terms):
+        weight_sums(acc, terms)
+        if threading.current_thread() is not threading.main_thread():
+            worker_sums.append(bool(np.isfinite(acc).all()))
+
+    with warnings.catch_warnings(), mock.patch.object(model, "_weight_sums", spy):
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="training diverged"):
             train(config, train_ds, val_ds)
+    assert True in worker_sums and False in worker_sums
 
 
 def test_train_keeps_one_forward_cache_alive():
