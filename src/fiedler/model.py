@@ -16,7 +16,9 @@ built from all edges at once. Without a cache the GRU rounds run in reused buffe
 one, every round's gates, candidate, reset state and new state are views into
 a single block allocated once per pass. Either way the arithmetic follows the
 formulas' operation order, so every value is bitwise that of plain allocating
-numpy expressions. No graph reads another graph's rows, so a large stack runs
+numpy expressions. Every node starts in the same state, so a stack of 64 or
+more rows runs the first round once per distinct node degree and copies the
+rows out. No graph reads another graph's rows, so a large stack runs
 its GRU rounds as two row parts cut at a graph boundary, the second on a
 worker thread; each part is long enough that BLAS gives every row the bits
 the whole stack gives it, so the split changes no value either. The reverse
@@ -381,7 +383,9 @@ def _segment_mean(x: np.ndarray, stack: GraphStack) -> np.ndarray:
 # as the whole stack does (``tests/test_model.py`` checks the property). Each
 # part also needs at least PART_MIN_VALUES state values (rows times H): below
 # that, two threads of short numpy calls handing the GIL back and forth cost
-# more than they save, so the pass runs slower split than whole.
+# more than they save, so the pass runs slower split than whole. The same row
+# count decides when a stack runs round 1 on its degree table and how long the
+# table is at least.
 PART_MIN_ROWS = 64
 PART_MIN_VALUES = 1 << 13
 
@@ -437,6 +441,37 @@ def _run_rounds(params: ModelParams, adjacency: sp.csr_matrix, rows: slice, step
         _gru_step(params.gru, x, m, out[rows], z[rows], r[rows], c[rows], rs[rows], scratch)
 
 
+def _degree_table(params: ModelParams, adjacency: sp.csr_matrix):
+    """Round 1 once per distinct node degree of ``adjacency``.
+
+    Returns ``(row, table)``: ``table`` holds the round's message, z, r, c,
+    ``r * state`` and new state, one row per distinct degree in ascending
+    order, padded with degree-0 rows to at least ``PART_MIN_ROWS`` rows, and
+    ``row[i]`` is the table row of node row i. Every node starts at e1, so
+    every sent row is the same; the table's messages come from a "star"
+    matrix whose row for degree d holds d ones, so the CSR product adds d
+    such rows in the order the adjacency's product adds a node's d
+    neighbours. With at least ``PART_MIN_ROWS`` rows on both sides, each
+    product gives a table row the bits it gives the node rows of its degree.
+    """
+    degree = np.diff(adjacency.indptr)
+    seen = np.bincount(degree) > 0
+    degrees = np.flatnonzero(seen)
+    size = max(PART_MIN_ROWS, seen.size)  # seen.size - 1 is the largest degree
+    counts = np.zeros(size, dtype=np.intp)
+    counts[: degrees.size] = degrees
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+    star = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(size, size))
+    x0 = initial_state(size, params.hidden_size)
+    z, r, c, rs, out, scratch = np.empty((6, *x0.shape))
+    m = star @ np.matmul(x0, params.w_msg.T, out=scratch)
+    _gru_step(params.gru, x0, m, out, z, r, c, rs, scratch)
+    row = np.cumsum(seen) - 1  # the table row of each degree
+    return row[degree], (m, z, r, c, rs, out)
+
+
 def forward_stack(
     params: ModelParams,
     stack: GraphStack,
@@ -454,6 +489,16 @@ def forward_stack(
     ``block[t]``, so the cache's per-round lists hold views into that block;
     the messages go into their own ``(rounds, rows, H)`` array. Without a
     cache, two state buffers take turns and the gates are reused.
+
+    Every node starts at e1, so after round 1 a node's message, gates and
+    state depend only on its degree (the first step of Weisfeiler-Lehman
+    colour refinement). A stack of at least ``PART_MIN_ROWS`` rows runs round
+    1 once per distinct degree (``_degree_table``) and gathers the rows into
+    its buffers: the new state alone without a cache, every round-1 array
+    with one. The table is at least ``PART_MIN_ROWS`` rows long, so every
+    product gives its rows the bits the stack's own products would, and
+    every value is bitwise that of the direct round. A smaller stack (one
+    graph of fewer than 64 nodes, say) runs round 1 directly like the rest.
 
     A stack of two parts (``_row_parts``) runs the GRU rounds of its second
     part on one worker thread while the caller runs the first, under the
@@ -478,8 +523,15 @@ def forward_stack(
 
     parts = _row_parts(stack, params.hidden_size)
     with np.errstate(over="ignore"):
-        if len(parts) == 1:
-            _run_rounds(params, stack.adjacency, parts[0], steps)
+        if stack.n_total >= PART_MIN_ROWS:
+            row, table = _degree_table(params, stack.adjacency)
+            # message, z, r, c, r * state and new state with a cache, else the state
+            kept = zip(table, steps[0][1:]) if want_cache else [(table[-1], steps[0][-1])]
+            for src, dst in kept:  # under the default mode, take buffers its output
+                np.take(src, row, axis=0, out=dst, mode="clip")
+            steps = steps[1:]
+        if len(parts) == 1 or not steps:
+            _run_rounds(params, stack.adjacency, slice(0, stack.n_total), steps)
         else:
             first, second = parts
             future = _submit(_run_rounds, params, stack.adjacency[second, second],
@@ -637,20 +689,20 @@ def backward_stack(
             # per shared right operand
             d_gates = np.empty((3, *dx.shape))
             d_az, d_ar, d_ac = d_gates
+            # 1 - z, the old state's share of the new one, waits in d_ar's buffer
+            keep = np.subtract(1.0, z, out=d_ar)
             np.multiply(dx, c - x_prev, out=d_az)
             d_az *= z
-            d_az *= 1.0 - z
+            d_az *= keep
             np.multiply(dx, z, out=d_ac)
             d_ac *= 1.0 - c * c
-            dx_prev = dx * (1.0 - z)
+            # nothing reads the initial state's gradient, which round t = 0 gives
+            dx_prev = dx * keep if t else None
 
             d_rs = d_ac @ gru.u_c
             np.multiply(d_rs, x_prev, out=d_ar)
             d_ar *= r
             d_ar *= 1.0 - r
-            dx_prev += d_rs * r
-            dx_prev += d_ar @ gru.u_r
-            dx_prev += d_az @ gru.u_z
 
             dm = d_ac @ gru.w_c
             dm += d_ar @ gru.w_r
@@ -664,6 +716,11 @@ def backward_stack(
                 (d_ac, rs),                # u_c
                 (d_gates, None),           # b_z, b_r, b_c
             ))
+            if t == 0:
+                break
+            dx_prev += d_rs * r
+            dx_prev += d_ar @ gru.u_r
+            dx_prev += d_az @ gru.u_z
             dx = dx_prev + d_sent @ params.w_msg
     finally:
         if pending is not None:

@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -666,6 +667,26 @@ SPLIT_STACKS = {
 }
 
 
+def _full_pass(p, stack, rounds, mode, targets):
+    """Estimates with and without a cache, the cache, loss and gradient."""
+    est, cache = forward_stack(p, stack, rounds, mode, want_cache=True)
+    est_nocache, _ = forward_stack(p, stack, rounds, mode, want_cache=False)
+    return est, est_nocache, cache, *backward_stack(p, cache, targets)
+
+
+def _assert_same_pass(got, want):
+    est, est_nocache, cache, loss, grad = got
+    ref, ref_nocache, ref_cache, ref_loss, ref_grad = want
+    assert est.tobytes() == est_nocache.tobytes() == ref.tobytes() == ref_nocache.tobytes()
+    for name in _CACHE_LISTS:
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(getattr(cache, name), getattr(ref_cache, name))), name
+    for name in _CACHE_ARRAYS:
+        assert getattr(cache, name).tobytes() == getattr(ref_cache, name).tobytes(), name
+    assert loss.hex() == ref_loss.hex()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
 @pytest.mark.parametrize("rounds", [1, 2, 8])
 @pytest.mark.parametrize("h", [1, 8, 32, 64])
 @pytest.mark.parametrize("case", list(SPLIT_STACKS))
@@ -677,21 +698,10 @@ def test_split_stack_is_bitwise_equal_to_one_part(case, h, rounds):
     for mode in MODES:
         with _split_small():
             assert len(model._row_parts(stack, h)) == n_parts
-            got = [forward_stack(p, stack, rounds, mode, want_cache=w) for w in (True, False)]
-            got_backward = backward_stack(p, got[0][1], targets)
+            got = _full_pass(p, stack, rounds, mode, targets)
         with _one_part():
-            want = [forward_stack(p, stack, rounds, mode, want_cache=w) for w in (True, False)]
-            want_backward = backward_stack(p, want[0][1], targets)
-        (est, cache), (est_nocache, _) = got
-        (ref, ref_cache), (ref_nocache, _) = want
-        assert est.tobytes() == est_nocache.tobytes() == ref.tobytes() == ref_nocache.tobytes()
-        for name in _CACHE_LISTS:
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(getattr(cache, name), getattr(ref_cache, name))), name
-        for name in _CACHE_ARRAYS:
-            assert getattr(cache, name).tobytes() == getattr(ref_cache, name).tobytes(), name
-        assert got_backward[0].hex() == want_backward[0].hex()
-        assert got_backward[1].tobytes() == want_backward[1].tobytes()
+            want = _full_pass(p, stack, rounds, mode, targets)
+        _assert_same_pass(got, want)
 
 
 def test_split_stack_of_a_training_batch_is_bitwise_equal_to_one_part():
@@ -911,6 +921,125 @@ def test_overlapped_backward_returns_only_after_its_last_sums(chain_fails):
             backward_stack(p, cache, targets)
         done = len(ended)
     assert done == len(started) == (2 if chain_fails else 4)
+
+
+# -- round 1 per degree ---------------------------------------------------------
+
+
+# Stacks around the 64-row rule, one without edges, and one whose degrees 0..63
+# fill the 64-row table: K3..K64, an edgeless graph and a path.
+TABLE_STACKS = {
+    "63-rows": _stack_of_sizes([9] * 7, 4),
+    "64-rows": _stack_of_sizes([8] * 8, 5),
+    "65-rows": _stack_of_sizes([8] * 7 + [9], 6),
+    "edgeless": _edgeless_stack([10] * 12),
+    "64-degrees": build_stack(GraphArrays.of(
+        [Graph(3, []), path_graph(3)] + [complete_graph(n) for n in range(3, 65)])),
+}
+
+
+def _assert_table_matches_direct(stack, h, rounds):
+    """Both modes give the bits of the direct round 1, the threshold patched off."""
+    p = _perturbed_params(h, seed=h + rounds)
+    targets = np.linspace(0.2, 2.0, len(stack.sizes))
+    for mode in MODES:
+        got = _full_pass(p, stack, rounds, mode, targets)
+        with _one_part():
+            want = _full_pass(p, stack, rounds, mode, targets)
+        _assert_same_pass(got, want)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 8])
+@pytest.mark.parametrize("h", [1, 8, 16, 32, 64])
+@pytest.mark.parametrize("case", list(TABLE_STACKS))
+def test_degree_table_is_bitwise_equal_to_the_direct_round(case, h, rounds):
+    _assert_table_matches_direct(TABLE_STACKS[case], h, rounds)
+
+
+def test_degree_table_has_one_row_per_distinct_degree():
+    p = init_params(4, seed=0)
+    for case in ("65-rows", "64-degrees"):
+        degree = np.diff(TABLE_STACKS[case].adjacency.indptr)
+        row, table = model._degree_table(p, TABLE_STACKS[case].adjacency)
+        assert (np.unique(degree)[row] == degree).all()
+        assert all(a.shape == (64, 4) for a in table)
+    assert np.unique(degree).size == 64
+
+
+@st.composite
+def _graphs_of_any_density(draw):
+    """A graph with 3..64 nodes whose node pairs are edges with probability p."""
+    n, p = draw(st.integers(3, 64)), draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < p
+    return Graph(n, zip(i[keep].tolist(), j[keep].tolist()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_graphs_of_any_density(), min_size=1, max_size=8).filter(
+           lambda gs: sum(g.n for g in gs) >= model.PART_MIN_ROWS),
+       st.sampled_from([1, 8, 32]), st.integers(1, 3))
+def test_degree_table_is_bitwise_on_random_stacks(graphs, h, rounds):
+    _assert_table_matches_direct(build_stack(GraphArrays.of(graphs)), h, rounds)
+
+
+def _calls(name):
+    """A patch that records every call of ``model.<name>`` and the list of them."""
+    calls, real = [], getattr(model, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    return calls, mock.patch.object(model, name, spy)
+
+
+def test_degree_table_is_built_once_per_pass():
+    """A training-size batch splits in two parts but builds one table per
+    pass; a graph alone, ``grad_check`` and stacks under 64 rows build none."""
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.2, 0.8), seed=41)
+    batch = build_stack(GraphArrays.of([generate_connected_graph(cfg, i) for i in range(256)]))
+    assert len(model._row_parts(batch, 32)) == 2
+    tables, table_patch = _calls("_degree_table")
+    parts, parts_patch = _calls("_run_rounds")
+    p = init_params(32, seed=0)
+    with table_patch, parts_patch:
+        for want_cache in (True, False):
+            forward_stack(p, batch, 3, "local", want_cache=want_cache)
+        assert len(tables) == 2
+        assert [len(args[-1]) for args in parts] == [2] * 4  # rounds 2 and 3, per part
+        forward_stack(p, batch, 1, "global")
+        assert len(tables) == 3
+
+        small = init_params(4, seed=0)
+        g = rand_graph(7, 9, 11)
+        forward(small, g, 2, "local")
+        grad_check(small, g, 2, "global", sample=500)
+        forward_stack(small, TABLE_STACKS["63-rows"], 2, "local")
+        assert len(tables) == 3
+        forward_stack(small, TABLE_STACKS["64-rows"], 2, "local")
+        assert len(tables) == 4
+
+
+def test_degree_table_is_bitwise_at_one_and_two_blas_threads():
+    """OpenBLAS fixes its thread count at import, so a child process per
+    count runs the table check on a stack that also splits in two parts."""
+    script = (
+        "import test_model as t\n"
+        "for h in (8, 32):\n"
+        "    t._assert_table_matches_direct(t.TABLE_STACKS['64-degrees'], h, 2)\n"
+        "    t._assert_table_matches_direct(t.TABLE_STACKS['65-rows'], h, 2)\n"
+        "print('ok')\n"
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(model.__file__)))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", (threads, proc.stderr)
 
 
 # -- backward -----------------------------------------------------------------
