@@ -4,10 +4,24 @@ The solver is the cyclic Jacobi method in row-by-row pair order (Golub &
 Van Loan, *Matrix Computations*, section 8.5), applied to a whole ``(B, n, n)``
 stack of matrices at once: each rotation is a few elementwise updates of two
 rows (and, by symmetry, the same two columns) of every matrix in the stack.
-No operation mixes two matrices, so each matrix goes through exactly the
-arithmetic of solving it alone: a matrix's result is bitwise the same whatever
-else is in the stack, and equal to a scalar loop over the same rotations
-(tests/test_spectral.py keeps one as the reference).
+No operation mixes two matrices, and a matrix whose pair falls under its
+rotation threshold is left untouched while others rotate, so each matrix goes
+through exactly the arithmetic of solving it alone: a matrix's result is
+bitwise the same whatever else is in the stack, and equal to a scalar loop
+over the same rotations (tests/test_spectral.py keeps one as the reference).
+
+The solver has two paths with that same arithmetic, entry for entry. While
+the unconverged matrices times n exceed SCALAR_MAX_ENTRIES (64), a sweep
+rotates the whole stack with numpy calls (_rotate). From the first sweep at
+which they do not, each remaining matrix is finished alone in Python floats on
+list rows (_finish_alone): one-graph calls take this path from the start, and
+a large stack takes it for its last few stragglers. The switch is safe because
+a matrix's values do not depend on its companions: the scalar finish applies
+the same pair order, rotation threshold, formulas (operands of a sum or a
+product may be swapped, which is exact), convergence sum in row order and
+sweep budget, so a matrix's bits do not depend on the sweep at which it
+changes paths. A stacked rotation costs 30-60 us of call overhead whatever
+the stack's size, against a few us for a small matrix in Python floats.
 
 The oracle solves graphs of different sizes in one stack, each Laplacian
 zero-padded to the stack's largest n (``graphs.laplacian_stack``), and a
@@ -16,7 +30,8 @@ index has ``a[p, q] = +0.0``, so it never rotates; padded entries stay ``+0.0``
 through every rotation; a matrix's own pairs come in its own row order, with a
 rotation threshold from its own size; the cumsum off-diagonal norm adds exact
 zeros; and its eigenvalues are read from its leading diagonal entries, before
-sorting. A sweep then costs the rotation steps of the largest matrix only: 55
+sorting. The same facts let the scalar finish work on a matrix's own block
+only. A sweep then costs the rotation steps of the largest matrix only: 55
 for the paper's 9..11-node law, against 36 + 45 + 55 with one stack per size.
 
 The parallel round-robin ordering of Brent & Luk (1985), n/2 disjoint
@@ -30,12 +45,13 @@ self-contained and auditable rather than delegating to a LAPACK binding.
 Intended for matrices up to 64x64; convergence is quadratic, typically well
 under ten sweeps.
 """
-
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
-from .graphs import Graph, GraphArrays, laplacian_stack
+from .graphs import Graph, GraphArrays, laplacian, laplacian_stack
 
 SYMMETRY_TOL = 1e-12
 OFF_DIAGONAL_TOL = 1e-12
@@ -49,6 +65,15 @@ MAX_SWEEPS = 100
 # whose groups each exceed half a stack get one stack per group: padding large
 # groups into one stack cost more than the rotation steps it saved.
 ORACLE_CHUNK = 512
+
+# A sweep whose unconverged matrices times n come to at most this many entries
+# (the length of one row of the batch-last stack) finishes each of them alone
+# in Python floats (_finish_alone); there a stacked rotation is mostly numpy
+# call overhead. Full-solve time, Python floats over stacked, one core: one
+# matrix of n 4..40 0.1-0.25, n = 64 0.40; 6 of n 10 0.72, 4 of n 16 0.64,
+# 2 of n 32 0.54, 16 of n 4 1.00; past 64 entries the stack wins: 8 of n 10
+# 1.06, 6 of n 16 1.05, 3 of n 64 1.22.
+SCALAR_MAX_ENTRIES = 64
 
 
 def jacobi_eigensystem(
@@ -72,6 +97,8 @@ def jacobi_eigensystem(
     n = m.shape[-1]
     if n == 0:
         raise ValueError("matrix must be non-empty")
+    if not off_tol >= 0.0:
+        raise ValueError(f"off_tol must be >= 0, got {off_tol}")
     stack = m.reshape(-1, n, n)
     asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     if np.any(asym > SYMMETRY_TOL):
@@ -96,32 +123,49 @@ def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
     diag = np.empty((count, n))
     vectors = np.empty((count, n, n)) if need_vectors else None
     active = np.arange(count)
-    upper = np.triu_indices(n, 1)
     diagonal = np.arange(n)
     # Once every pair of a matrix falls below this, its off-diagonal Frobenius
     # norm is guaranteed under off_tol, so a skip-only sweep cannot stall.
     rotate_tol = off_tol / (2.0 * sizes * sizes)
+    stalled = f"Jacobi iteration did not converge in {max_sweeps} sweeps"
 
-    for _ in range(max_sweeps + 1):
-        off = a[upper]
+    sweeps = 0
+    while active.size * n > SCALAR_MAX_ENTRIES:
+        off = a[np.triu_indices(n, 1)]
         # cumsum adds the squares one after another in row order, as the
         # scalar method did; a pairwise sum would round differently.
         off_sq = np.cumsum(off * off, axis=0)[-1] if n > 1 else np.zeros(active.size)
         done = np.sqrt(2.0 * off_sq) <= off_tol
-        if done.any():
+        if np.count_nonzero(done):
             diag[active[done]] = a[diagonal, diagonal][:, done].T
             if vt is not None:
                 vectors[active[done]] = vt[:, :, done].transpose(2, 1, 0)
+            # compress keeps the batch axis last in memory; a[:, :, keep]
+            # would move it first and make every row a strided gather
             keep = ~done
-            active, a, rotate_tol = active[keep], a[:, :, keep], rotate_tol[keep]
-            vt = vt[:, :, keep] if vt is not None else None
-        if active.size == 0:
+            active, a, rotate_tol = active[keep], a.compress(keep, axis=2), rotate_tol[keep]
+            vt = vt.compress(keep, axis=2) if vt is not None else None
+        if active.size * n <= SCALAR_MAX_ENTRIES:
             break
+        if sweeps == max_sweeps:
+            raise RuntimeError(stalled)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 _rotate(a, vt, p, q, rotate_tol)
-    else:
-        raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+        sweeps += 1
+
+    for j, b in enumerate(active.tolist()):
+        # Padding is +0.0 and never rotates, so a padded matrix's own block
+        # goes through the same arithmetic alone.
+        size = int(sizes[b])
+        rows = a[:size, :size, j].tolist()
+        cols = vt[:size, :size, j].tolist() if vt is not None else None
+        if not _finish_alone(rows, cols, float(rotate_tol[j]), off_tol, max_sweeps - sweeps):
+            raise RuntimeError(stalled)
+        diag[b, :size] = [rows[i][i] for i in range(size)]
+        if vt is not None:
+            vectors[b] = vt[:, :, j].T
+            vectors[b, :size, :size] = np.array(cols).T
 
     diag[diagonal >= sizes[:, None]] = np.inf
     order = np.argsort(diag, axis=1, kind="stable")
@@ -131,38 +175,105 @@ def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
     return eigenvalues, vectors
 
 
-def _rotate(a, vt, p: int, q: int, rotate_tol: float) -> None:
+def _finish_alone(a, vt, rotate_tol: float, off_tol: float, sweeps: int) -> bool:
+    """Cyclic Jacobi on one matrix held as lists of Python floats, with at
+    most ``sweeps`` more sweeps: entry for entry the arithmetic that _solve and
+    _rotate apply to it in a stack. ``a`` holds the matrix's rows and ``vt``
+    the eigenvector matrix's columns (or is None); both are updated in place.
+    Returns whether the matrix converged."""
+    n = len(a)
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    for _ in range(sweeps + 1):
+        off_sq = 0.0
+        for p, q in pairs:
+            off_sq += a[p][q] * a[p][q]
+        if math.sqrt(2.0 * off_sq) <= off_tol:
+            return True
+        for p, q in pairs:
+            rp, rq = a[p], a[q]
+            apq = rp[q]
+            if not abs(apq) > rotate_tol:
+                continue
+            app, aqq = rp[p], rq[q]
+            theta = (aqq - app) / (2.0 * apq)
+            t = 1.0 / (math.sqrt(theta * theta + 1.0) + abs(theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (c + 1.0)
+            tapq = t * apq
+            new_p = [x - s * (y + tau * x) for x, y in zip(rp, rq)]
+            new_q = [y + s * (x - tau * y) for x, y in zip(rp, rq)]
+            new_p[p] = app - tapq
+            new_q[q] = aqq + tapq
+            new_p[q] = new_q[p] = 0.0
+            # Row p equals column p, so the rotated rows are also the new columns.
+            a[p], a[q] = new_p, new_q
+            for row, x, y in zip(a, new_p, new_q):
+                row[p] = x
+                row[q] = y
+            if vt is not None:
+                vp, vq = vt[p], vt[q]
+                vt[p] = [x - s * (y + tau * x) for x, y in zip(vp, vq)]
+                vt[q] = [y + s * (x - tau * y) for x, y in zip(vp, vq)]
+    return False
+
+
+def _rotate(a, vt, p: int, q: int, rotate_tol) -> None:
     """Apply the (p, q) rotation, in place, to every matrix whose |a[p, q]|
     exceeds its entry of rotate_tol; the others stay bitwise unchanged."""
     apq = a[p, q]
     rotate = np.abs(apq) > rotate_tol
-    if not rotate.any():
+    if not np.count_nonzero(rotate):
         return
     app, aqq = a[p, p], a[q, q]
-    theta = (aqq - app) / (2.0 * np.where(rotate, apq, 1.0))
-    t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    t = np.where(theta < 0.0, -t, t)
-    c = 1.0 / np.sqrt(t * t + 1.0)
+    # Each entry takes the operations of the textbook formulas in their order;
+    # only the operands of a sum or product are swapped, which is exact.
+    scale = np.where(rotate, apq, 1.0)
+    scale *= 2.0
+    theta = aqq - app
+    theta /= scale
+    t = theta * theta
+    t += 1.0
+    np.sqrt(t, out=t)
+    t += np.abs(theta, out=scale)
+    np.divide(1.0, t, out=t)
+    np.negative(t, out=t, where=theta < 0.0)
+    c = t * t
+    c += 1.0
+    np.sqrt(c, out=c)
+    np.divide(1.0, c, out=c)
     s = t * c
-    tau = s / (1.0 + c)
+    c += 1.0
+    tau = np.divide(s, c, out=c)
+    t_apq = np.multiply(t, apq, out=t)
 
-    # Row p equals column p, so the rotated rows are also the new columns.
-    rp, rq = a[p], a[q]
-    new_p = rp - s * (rq + tau * rp)
-    new_q = rq + s * (rp - tau * rq)
-    new_p[p] = app - t * apq
-    new_q[q] = aqq + t * apq
-    new_p[q] = 0.0
-    new_q[p] = 0.0
-    new_p = np.where(rotate, new_p, rp)
-    new_q = np.where(rotate, new_q, rq)
-    a[p], a[q] = new_p, new_q
-    a[:, p], a[:, q] = new_p, new_q
+    # a[p:q + 1:q - p] views rows p and q; row p equals column p, so the
+    # rotated rows are also the new columns.
+    rows = a[p : q + 1 : q - p]
+    new = _rotated(rows, s, tau)
+    np.subtract(app, t_apq, out=new[0, p])
+    np.add(aqq, t_apq, out=new[1, q])
+    new[0, q] = 0.0
+    new[1, p] = 0.0
+    np.copyto(rows, new, where=rotate)
+    np.copyto(a[:, p : q + 1 : q - p], new.transpose(1, 0, 2), where=rotate)
     if vt is not None:
-        vp, vq = vt[p], vt[q]
-        new_vp = np.where(rotate, vp - s * (vq + tau * vp), vp)
-        new_vq = np.where(rotate, vq + s * (vp - tau * vq), vq)
-        vt[p], vt[q] = new_vp, new_vq
+        rows = vt[p : q + 1 : q - p]
+        np.copyto(rows, _rotated(rows, s, tau), where=rotate)
+
+
+def _rotated(rows, s, tau):
+    """The pair ``rows`` = (r_p, r_q) of a (p, q) rotation, rotated:
+    (r_p - s (r_q + tau r_p), r_q + s (r_p - tau r_q)), in a new array."""
+    new = rows * tau
+    new[0] += rows[1]
+    np.subtract(rows[0], new[1], out=new[1])
+    new *= s
+    np.subtract(rows[0], new[0], out=new[0])
+    new[1] += rows[1]
+    return new
 
 
 def algebraic_connectivities(arrays: GraphArrays) -> np.ndarray:
@@ -199,4 +310,5 @@ def algebraic_connectivities(arrays: GraphArrays) -> np.ndarray:
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff g is connected."""
-    return float(algebraic_connectivities(GraphArrays.of([g]))[0])
+    ev, _ = _solve(laplacian(g)[None], np.array([g.n]), False, OFF_DIAGONAL_TOL, MAX_SWEEPS)
+    return float(ev[0, 1])

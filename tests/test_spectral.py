@@ -36,6 +36,14 @@ def test_rejects_non_symmetric():
         jacobi_eigensystem(np.ones((2, 3)))
 
 
+def test_rejects_negative_tolerance():
+    # a negative or NaN tolerance can never be met, and a negative one would
+    # make the solver rotate exact zeros
+    for off_tol in (-1e-12, math.nan):
+        with pytest.raises(ValueError, match="off_tol"):
+            jacobi_eigensystem(np.eye(3), off_tol=off_tol)
+
+
 def test_non_convergence_raises():
     m = laplacian(complete_graph(5))
     with pytest.raises(RuntimeError, match="converge"):
@@ -158,21 +166,147 @@ def _scalar_jacobi(m, off_tol=1e-12):
     return diag[order], np.array(vec)[:, order]
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_matches_reference(ev, vec, mat):
+    ref_ev, ref_vec = _scalar_jacobi(mat)
+    assert _hex(ev) == _hex(ref_ev)
+    assert _hex(vec.ravel()) == _hex(ref_vec.ravel())
+
+
+def _signed_zero_matrix():
+    """A symmetric matrix holding -0.0 entries, on and off the diagonal, in
+    rows that rotate and in a row that never does (eigenvalue -0.0)."""
+    m = np.array([
+        [-0.0, -0.0, -0.0, 0.0, -0.0],
+        [-0.0, 2.0, -1.0, -0.0, 0.5],
+        [-0.0, -1.0, 3.0, -0.0, -0.0],
+        [0.0, -0.0, -0.0, 1.0, -0.0],
+        [-0.0, 0.5, -0.0, -0.0, -2.0],
+    ])
+    assert _hex(m.ravel()) == _hex(m.T.ravel())
+    return m
+
+
 def test_stacked_solver_is_bitwise_equal_to_scalar_reference():
     rng = np.random.default_rng(71)
     mats = [laplacian(g) for g in _mixed_graphs()[::4]]
     for n in (1, 2, 5, 9):
         raw = rng.normal(size=(3, n, n))
         mats += list((raw + raw.transpose(0, 2, 1)) / 2.0)
+    mats.append(_signed_zero_matrix())
     for mat in mats:
+        # one matrix: the scalar finish
         ev, vec = jacobi_eigensystem(mat, need_vectors=True)
-        ref_ev, ref_vec = _scalar_jacobi(mat)
-        assert np.array_equal(ev, ref_ev)
-        assert np.array_equal(vec, ref_vec)
+        _assert_matches_reference(ev, vec, mat)
+        # the same matrix in a stack too wide for it: stacked rotations
+        copies = spectral.SCALAR_MAX_ENTRIES // len(mat) + 1
+        evs, vecs = jacobi_eigensystem(np.stack([mat] * copies), need_vectors=True)
+        for ev, vec in zip(evs, vecs):
+            _assert_matches_reference(ev, vec, mat)
 
 
-def _hex(values):
-    return [float(v).hex() for v in values]
+# SCALAR_MAX_ENTRIES values that send every sweep down the stacked path (0)
+# or every sweep to the scalar finish (no stack here comes near 10**9 entries)
+ALL_STACKED, ALL_SCALAR = 0, 10**9
+
+
+@pytest.mark.parametrize("entries", [ALL_STACKED, ALL_SCALAR])
+def test_both_paths_are_bitwise_equal_to_scalar_reference(monkeypatch, entries):
+    monkeypatch.setattr(spectral, "SCALAR_MAX_ENTRIES", entries)
+    rng = np.random.default_rng(72)
+    raw = rng.normal(size=(14, 5, 5))
+    # the -0.0 matrix rotates only at (1, 2) and (1, 4); at every other pair
+    # it stays put while random matrices beside it rotate
+    stack = np.concatenate([[_signed_zero_matrix()], (raw + raw.transpose(0, 2, 1)) / 2.0])
+    singles = [np.array([[-0.0]]), np.array([[2.5]]), np.array([[1.0, -0.0], [-0.0, 1.0]]),
+               np.array([[1.0, 0.5], [0.5, -3.0]])]
+    for mats in [stack, *(m[None] for m in singles), np.stack([singles[3]] * 40)]:
+        evs, vecs = jacobi_eigensystem(mats, need_vectors=True)
+        for mat, ev, vec in zip(mats, evs, vecs):
+            _assert_matches_reference(ev, vec, mat)
+
+    # a padded edgeless graph, and an edgeless graph alone
+    graphs = [Graph(7, []), path_graph(3), cycle_graph(12), Graph(3, [])] + _mixed_graphs()[2:30:3]
+    want = _hex(_scalar_jacobi(laplacian(g))[0][1] for g in graphs)
+    assert _hex(algebraic_connectivities(GraphArrays.of(graphs))) == want
+    assert _hex(algebraic_connectivity(g) for g in graphs) == want
+
+    # too few sweeps raise the same error on either path
+    hard = np.random.default_rng(75).normal(size=(12, 12))
+    hard = (hard + hard.T) / 2.0
+    for mats in (hard, np.stack([hard] * 8)):
+        with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+            jacobi_eigensystem(mats, max_sweeps=1)
+
+
+def test_paths_switch_mid_solve_without_changing_a_bit(monkeypatch):
+    """A stack that starts stacked and drops under SCALAR_MAX_ENTRIES as its
+    matrices converge gives the bits of either path run throughout, and
+    converges within the same sweep budget: one sweep fewer raises on every
+    path."""
+    # one of these 40 matrices needs 7 sweeps, the others 5 or 6; the 40
+    # paper-law graphs need at most 6 and the two 24-node ones 7
+    raw = np.random.default_rng(73).normal(size=(40, 12, 12))
+    stack = (raw + raw.transpose(0, 2, 1)) / 2.0
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.16, 0.95), seed=74)
+    graphs = [generate_connected_graph(cfg, idx) for idx in range(40)]
+    arrays = GraphArrays.of(graphs + [path_graph(24), cycle_graph(24)])
+
+    finished = []
+    finish = spectral._finish_alone
+
+    def spy(a, vt, rotate_tol, off_tol, sweeps):
+        finished.append(sweeps)
+        return finish(a, vt, rotate_tol, off_tol, sweeps)
+
+    def run(entries, max_sweeps=spectral.MAX_SWEEPS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "SCALAR_MAX_ENTRIES", entries)
+            mp.setattr(spectral, "_finish_alone", spy)
+            ev, vec = jacobi_eigensystem(stack, need_vectors=True, max_sweeps=max_sweeps)
+            mp.setattr(spectral, "MAX_SWEEPS", max_sweeps)
+            labels = algebraic_connectivities(arrays)
+            return _hex(ev.ravel()) + _hex(vec.ravel()) + _hex(labels.ravel())
+
+    want = run(ALL_STACKED)
+    assert run(ALL_SCALAR) == want
+    finished.clear()
+    assert run(spectral.SCALAR_MAX_ENTRIES) == want
+    # the stragglers, one 12 x 12 matrix and the two 24-node graphs, were
+    # finished alone after six stacked sweeps
+    assert finished == [spectral.MAX_SWEEPS - 6] * 3
+
+    for entries in (ALL_STACKED, ALL_SCALAR, spectral.SCALAR_MAX_ENTRIES):
+        assert run(entries, 7) == want
+        with pytest.raises(RuntimeError, match="did not converge in 6 sweeps"):
+            run(entries, 6)
+
+
+def _count_rotations(monkeypatch):
+    calls = []
+    rotate = spectral._rotate
+
+    def counting(*args):
+        calls.append(args[2:4])
+        return rotate(*args)
+
+    monkeypatch.setattr(spectral, "_rotate", counting)
+    return calls
+
+
+def test_small_calls_never_rotate_a_stack(monkeypatch):
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.16, 0.95), seed=601)
+    graphs = [generate_connected_graph(cfg, idx) for idx in range(100)]
+    rotations = _count_rotations(monkeypatch)
+    algebraic_connectivity(graphs[0])
+    algebraic_connectivities(GraphArrays.of(graphs[:3]))
+    jacobi_eigensystem(laplacian(graphs[1]), need_vectors=True)
+    assert rotations == []
+    algebraic_connectivities(GraphArrays.of(graphs))
+    assert len(rotations) > 0
 
 
 def test_stacked_oracle_is_bitwise_equal_to_single_calls(monkeypatch):
