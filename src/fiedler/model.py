@@ -28,9 +28,14 @@ whole-stack product, added in round order, so no gradient bit moves.
 
 The finite-difference check runs its probes in batches: a stack of copies of
 one graph, each copy with its own parameter set, where every weight product is
-one batched matmul over the copies. Batched matmul gives each copy the bits of
-its own 2-D product and the sparse message sum adds each row's neighbours in
-the same order, so every probe's loss is bitwise that of a single-graph pass.
+one batched matmul over the copies. Each probe's parameters are a row of one
+block that stores the seven round matrices transposed, so a round's products
+run BLAS's NN kernel, more than twice as fast on these tiny matrices as the NT
+kernel a single-graph pass runs. Batched matmul gives each copy the bits of
+its own 2-D product, the NN and NT products agree bit for bit at the sizes
+listed at ``GRADCHECK_CHUNK_BYTES`` (H=8 among them), and the sparse message
+sum adds each row's neighbours in the same order; so at those sizes every
+probe's loss is bitwise that of a single-graph pass.
 """
 
 from __future__ import annotations
@@ -162,19 +167,58 @@ def param_views(vec: np.ndarray, hidden_size: int) -> ModelParams:
     )
 
 
+# The matrices every message-passing round multiplies by: a probe block
+# stores them transposed (``_probe_positions``).
+_ROUND_MATRICES = frozenset(
+    name for name, kind in _TENSOR_SPECS if kind == "hh" and not name.startswith("readout")
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_positions(hidden_size: int) -> np.ndarray:
+    """The block column of each canonical coordinate in a probe block.
+
+    A probe block stores each round matrix W transposed, W[i, j] at column
+    ``start + j * H + i`` of its span, and every other tensor in canonical
+    order. The map is read-only and its own inverse.
+    """
+    h = hidden_size
+    pos = np.arange(param_count(h))
+    transposed = np.arange(h * h).reshape(h, h).T.ravel()
+    for name, sl, _ in _layout(h):
+        if name in _ROUND_MATRICES:
+            pos[sl] = sl.start + transposed
+    pos.flags.writeable = False
+    return pos
+
+
+def _probe_block(theta: np.ndarray, rows: int, hidden_size: int) -> np.ndarray:
+    """A ``(rows, P)`` probe block holding ``theta`` in every row, laid out
+    as ``_probe_positions`` says."""
+    block = np.empty((rows, theta.size))
+    block[:, _probe_positions(hidden_size)] = theta
+    return block
+
+
 def _probe_views(block: np.ndarray, hidden_size: int) -> ModelParams:
-    """Parameters of K probes whose tensors view the rows of a ``(K, P)`` block.
+    """Parameters of K probes whose tensors view the rows of a ``(K, P)``
+    probe block (``_probe_block``).
 
     Matrices are ``(K, H, H)``, biases ``(K, 1, H)``, the readouts' ``w2``
     ``(K, H, 1)`` and ``b2`` ``(K, 1, 1)``, so each broadcasts against, or
-    multiplies, ``(K, rows, H)`` states probe by probe.
+    multiplies, ``(K, rows, H)`` states probe by probe. A round matrix is the
+    ``.swapaxes(-1, -2)`` view of its transposed span, so it holds W's values
+    while ``_t(w)`` is C-contiguous per probe: ``states @ _t(w)`` then runs
+    BLAS's NN kernel, not the slower NT one a canonical span gives. The
+    readout matrices keep canonical order (see ``GRADCHECK_CHUNK_BYTES``).
     """
     k, h = block.shape[0], hidden_size
     shapes = {"hh": (k, h, h), "h": (k, 1, h), "scalar": (k, 1, 1)}
     views = {}
     for (name, sl, _), (_, kind) in zip(_layout(h), _TENSOR_SPECS):
         shape = (k, h, 1) if name.endswith(".w2") else shapes[kind]
-        views[name] = block[:, sl].reshape(shape)
+        view = block[:, sl].reshape(shape)
+        views[name] = _t(view) if name in _ROUND_MATRICES else view
     return _assemble(views, h)
 
 
@@ -771,28 +815,35 @@ def forward(params: ModelParams, g: Graph, rounds: int, mode: str):
 # single batched forward pass: two probes (+epsilon, -epsilon) per coordinate.
 # Larger blocks spread the per-call overhead over more probes but raise peak
 # memory; this size gives 51 coordinates per chunk at H=8 and 3 at H=32, where
-# checking every coordinate at once would take a 1.4 GB block.
+# checking every coordinate at once would take a 1.4 GB block. The block
+# stores the round matrices transposed (``_probe_positions``): a probe's NN
+# product of n state rows then has the bits of the single-graph NT product at
+# H 1..16, 21..24 and 29..31 for n >= 2 and at H=32 for n >= 38, and other
+# bits at H 17..20 and 25..28 and at H=32 below 38 rows (OpenBLAS 0.3.31,
+# one or two threads). The readout matrices keep canonical order: the global
+# readout's pooled product has one row per probe, where the two differ at
+# every H.
 GRADCHECK_CHUNK_BYTES = 1 << 19
 
 
 def _probe_losses(
-    block: np.ndarray,
+    probe: ModelParams,
     stack: GraphStack,
     target: float,
     rounds: int,
     mode: str,
-    hidden_size: int,
 ) -> np.ndarray:
-    """Loss of each row of a ``(K, P)`` parameter block on its own copy of a
-    graph against ``target``: ``stack`` holds K copies of the graph, and copy
-    k runs with row k.
+    """Loss of each of K probes (``_probe_views``) on its own copy of a graph
+    against ``target``: ``stack`` holds K copies of the graph, and copy k runs
+    with probe k.
 
     The same operations as ``forward_stack`` without a cache and
-    ``stack_losses``, batched over the probes, so every loss is bitwise the
-    one a single-graph pass with that row's parameters gives.
+    ``stack_losses``, batched over the probes. Where the NN products of the
+    round matrices give the bits of the NT ones (``GRADCHECK_CHUNK_BYTES``),
+    every loss is bitwise the one a single-graph pass with that probe's
+    parameters gives.
     """
-    k, h = block.shape[0], hidden_size
-    probe = _probe_views(block, h)
+    k, h = probe.w_msg.shape[0], probe.hidden_size
     x = initial_state(stack.n_total, h).reshape(k, -1, h)
     scratch = np.empty(x.shape)
     z, r, c, rs, spare = np.empty((5, *x.shape))
@@ -827,16 +878,20 @@ def grad_check(
     random subset (never fewer than 500 coordinates). ``corrupt`` deliberately
     damages one analytic gradient entry, for validating the detector itself.
 
-    The probes run in chunks of coordinates: each chunk copies the flat
-    parameters once per probe into a block of at most GRADCHECK_CHUNK_BYTES,
-    moves each probe's coordinate by +epsilon or -epsilon, and evaluates every
-    probe's loss in one batched forward pass (``_probe_losses``). Each loss,
-    and so the result, is bitwise the one of a separate single-graph pass per
-    probe; ``params`` itself is never written. The coordinates of the readout
-    the mode does not read need no pass: both of their probe losses are the
-    unperturbed loss. Returns NaN when one
-    coordinate's error is NaN (say, from a non-finite loss): such a check
-    measured nothing and must not pass.
+    The probes run in chunks of coordinates. One block of at most
+    GRADCHECK_CHUNK_BYTES holds the flat parameters once per probe, filled
+    once per check in the layout of ``_probe_positions``; each chunk moves
+    each probe's coordinate by +epsilon or -epsilon, evaluates every probe's
+    loss in one batched forward pass (``_probe_losses``) and puts back the
+    entries it moved. The probe stack and views are built once per distinct
+    chunk size, so at most twice. Where the NN products of the transposed
+    round matrices give the NT bits (``GRADCHECK_CHUNK_BYTES``), as at H=8,
+    each loss, and so the result, is bitwise the one of a separate
+    single-graph pass per probe; elsewhere it may differ in the last bits.
+    ``params`` itself is never written. The coordinates of the readout the
+    mode does not read need no pass: both of their probe losses are the
+    unperturbed loss. Returns NaN when one coordinate's error is NaN (say,
+    from a non-finite loss): such a check measured nothing and must not pass.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
@@ -873,22 +928,24 @@ def grad_check(
     rels = [rel_errors(idle, np.full(idle.size, (loss - loss) / (2.0 * epsilon)))]
 
     per_chunk = max(1, min(coords.size, GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)))
-    block = np.empty((2 * per_chunk, total))
-    stacks: dict[int, GraphStack] = {}
+    block = _probe_block(theta, 2 * per_chunk, params.hidden_size)
+    pos = _probe_positions(params.hidden_size)
+    # the probe stack and views of each chunk size: the full one and the tail
+    batches: dict[int, tuple[GraphStack, ModelParams]] = {}
     for start in range(0, coords.size, per_chunk):
         if np.isnan(rels[-1]).any():
             break  # a NaN error already decides the result
         idx = coords[start : start + per_chunk]
         k = idx.size
-        if k not in stacks:
-            stacks[k] = build_stack(one.take(np.zeros(2 * k, dtype=np.intp)))
-        probes = block[: 2 * k]
-        probes[:] = theta
-        rows = np.arange(k)
-        probes[rows, idx] = theta[idx] + epsilon
-        probes[k + rows, idx] = theta[idx] - epsilon
-        losses = _probe_losses(probes, stacks[k], float(target), rounds, mode,
-                               params.hidden_size)
+        if k not in batches:
+            batches[k] = (build_stack(one.take(np.zeros(2 * k, dtype=np.intp))),
+                          _probe_views(block[: 2 * k], params.hidden_size))
+        stack_k, probe = batches[k]
+        rows, cols = np.arange(k), pos[idx]
+        block[rows, cols] = theta[idx] + epsilon
+        block[k + rows, cols] = theta[idx] - epsilon
+        losses = _probe_losses(probe, stack_k, float(target), rounds, mode)
+        block[rows, cols] = block[k + rows, cols] = theta[idx]
         rels.append(rel_errors(idx, (losses[:k] - losses[k:]) / (2.0 * epsilon)))
     rel = np.concatenate(rels)
     nan = np.isnan(rel)

@@ -1,7 +1,11 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and helpers for the test suite."""
 
 import itertools
+import os
+import subprocess
+import sys
 
+import fiedler
 from fiedler.graphs import Graph
 
 
@@ -24,3 +28,18 @@ def star_graph(leaves: int) -> Graph:
 
 def degree(g: Graph, v: int) -> int:
     return sum(1 for i, j in g.edges if v in (i, j))
+
+
+def run_at_one_and_two_blas_threads(script: str) -> None:
+    """Run ``script`` in a child process at ``OPENBLAS_NUM_THREADS`` 1 and at
+    2, with ``fiedler`` and the test modules importable; each run must end
+    without error. OpenBLAS fixes its thread count at import, so each count
+    needs a process of its own."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fiedler.__file__)))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script + "\nprint('ok')\n"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", (threads, proc.stderr)
