@@ -110,6 +110,14 @@ class GraphArrays:
         rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
         return GraphArrays(self.sizes[index], offsets, self.ends[rows])
 
+    def slice(self, start: int, stop: int) -> GraphArrays:
+        """Graphs ``start`` to ``stop - 1``, the graphs of
+        ``take(np.arange(start, stop))``, as views of these arrays: only the
+        edge offsets are recounted, no edge row is copied."""
+        first = self.edge_offsets[start]
+        return GraphArrays(self.sizes[start:stop], self.edge_offsets[start : stop + 1] - first,
+                           self.ends[first : self.edge_offsets[stop]])
+
     def graph(self, b: int) -> Graph:
         edges = self.ends[self.edge_offsets[b] : self.edge_offsets[b + 1]]
         return Graph(int(self.sizes[b]), edges.tolist())
@@ -231,8 +239,14 @@ def generate_connected_graph(cfg: GraphGenConfig, draw_index: int) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian L = D - A (symmetric, rows sum to zero)."""
-    return laplacian_stack(GraphArrays.of([g]))[0]
+    """Graph Laplacian L = D - A (symmetric, rows sum to zero): the
+    Laplacian ``laplacian_stack`` gives a one-graph stack, filled from
+    ``g.edges`` by the same operations."""
+    lap = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        lap[i, j] = lap[j, i] = -1.0
+    lap.flat[:: g.n + 1] -= lap.sum(axis=1)
+    return lap
 
 
 def laplacian_stack(arrays: GraphArrays) -> np.ndarray:

@@ -18,13 +18,17 @@ a single block allocated once per pass. Either way the arithmetic follows the
 formulas' operation order, so every value is bitwise that of plain allocating
 numpy expressions. Every node starts in the same state, so a stack of 64 or
 more rows runs the first round once per distinct node degree and copies the
-rows out. No graph reads another graph's rows, so a large stack runs
-its GRU rounds as two row parts cut at a graph boundary, the second on a
-worker thread; each part is long enough that BLAS gives every row the bits
-the whole stack gives it, so the split changes no value either. The reverse
-pass of such a stack runs each round's weight-gradient sums on that worker
-while the caller runs the next round's row-local chain; each sum is the same
-whole-stack product, added in round order, so no gradient bit moves.
+rows out. That table gives every value the bits of the direct round at
+H <= 64 (verified with OpenBLAS 0.3.31 at one and two threads), not at every
+H: at H=100 with two BLAS threads, and at H=201 even with one, estimates
+differ from the direct round's in their last bits. No graph reads another
+graph's rows, so a large stack runs its GRU rounds as two row parts cut at a
+graph boundary, the second on a worker thread; each part is long enough that
+BLAS gives every row the bits the whole stack gives it, so the split changes
+no value either. The reverse pass of such a stack runs each round's
+weight-gradient sums on that worker while the caller runs the next round's
+row-local chain; each sum is the same whole-stack product, added in round
+order, so no gradient bit moves.
 
 The finite-difference check runs its probes in batches: a stack of copies of
 one graph, each copy with its own parameter set, where every weight product is
@@ -309,23 +313,33 @@ class GraphStack:
 
 def build_stack(arrays: GraphArrays) -> GraphStack:
     """The stack of the graphs of ``arrays``: each graph's edge rows shifted
-    by its first node row, then one CSR adjacency over all rows."""
+    by its first node row, then one CSR adjacency over all rows.
+
+    The adjacency's column indices come from sorting the keys
+    ``row * total + column`` of both directions of every edge. The keys are
+    int32 while every one fits (``total**2 < 2**31``, fewer than 46,341 rows)
+    and int64 beyond, which sorts at half the speed. ``indices`` and
+    ``indptr`` are built as int32, the dtype scipy keeps for them, so the
+    matrix takes both without a copy or a scan of their contents.
+    """
     if not len(arrays):
         raise ValueError("need at least one graph")
     sizes = arrays.sizes
     offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
-    ends = arrays.ends + np.repeat(offsets[:-1], np.diff(arrays.edge_offsets))[:, None]
-    i, j = ends.T
+    key = np.int32 if total * total < 2**31 else np.int64
+    # every endpoint shifted by its graph's first row, flat as i0, j0, i1, j1, ...
+    ends = arrays.ends.ravel().astype(key)
+    ends += np.repeat(offsets[:-1].astype(key), 2 * np.diff(arrays.edge_offsets))
+    i, j = ends[0::2], ends[1::2]
     # both directions of every edge, in row-major (row, column) order
     keys = np.sort(np.concatenate((i * total + j, j * total + i)))
-    indptr = np.zeros(total + 1, dtype=np.intp)
-    np.cumsum(np.bincount(ends.ravel(), minlength=total), out=indptr[1:])
-    # scipy narrows both index arrays to the smallest dtype that holds them
-    adjacency = sp.csr_matrix(
-        (np.ones(keys.size), keys % total, indptr), shape=(total, total)
-    )
+    # each key's column: floor division by a scalar runs several times faster than %
+    indices = (keys - keys // total * total).astype(np.int32, copy=False)
+    indptr = np.zeros(total + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(ends, minlength=total))
+    adjacency = sp.csr_matrix((np.ones(keys.size), indices, indptr), shape=(total, total))
     node_graph = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
     return GraphStack(
         sizes=sizes,
@@ -424,12 +438,15 @@ def _segment_mean(x: np.ndarray, stack: GraphStack) -> np.ndarray:
 # When a stack runs as two row parts. Each part needs at least PART_MIN_ROWS
 # node rows: OpenBLAS gives a row the same bits in every product of 38 or more
 # rows, wherever the row sits, so such a part computes every state bit for bit
-# as the whole stack does (``tests/test_model.py`` checks the property). Each
+# as the whole stack does (``tests/test_model.py`` checks the property at
+# H <= 64; with two BLAS threads, at larger H that is not a multiple of 8, it
+# holds only in products of more than about H rows). Each
 # part also needs at least PART_MIN_VALUES state values (rows times H): below
 # that, two threads of short numpy calls handing the GIL back and forth cost
 # more than they save, so the pass runs slower split than whole. The same row
 # count decides when a stack runs round 1 on its degree table and how long the
-# table is at least.
+# table is at least; the table rests on the same property, so it is bitwise
+# the direct round at H <= 64 only (see the module docstring).
 PART_MIN_ROWS = 64
 PART_MIN_VALUES = 1 << 13
 
@@ -444,6 +461,19 @@ def _row_parts(stack: GraphStack, hidden_size: int) -> list[slice]:
     if side < PART_MIN_ROWS or side * hidden_size < PART_MIN_VALUES:
         return [slice(0, n)]
     return [slice(0, cut), slice(cut, n)]
+
+
+def _diagonal_block(adjacency: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
+    """``adjacency[rows, rows]`` for ``rows`` cut at a graph boundary: no
+    edge crosses the cut, so the block's CSR arrays are those rows' spans of
+    the stack's, re-based by the cut (the data a view)."""
+    lo, hi = adjacency.indptr[rows.start], adjacency.indptr[rows.stop]
+    n = rows.stop - rows.start
+    return sp.csr_matrix(
+        (adjacency.data[lo:hi], adjacency.indices[lo:hi] - rows.start,
+         adjacency.indptr[rows.start : rows.stop + 1] - lo),
+        shape=(n, n),
+    )
 
 
 @functools.cache
@@ -502,11 +532,12 @@ def _degree_table(params: ModelParams, adjacency: sp.csr_matrix):
     seen = np.bincount(degree) > 0
     degrees = np.flatnonzero(seen)
     size = max(PART_MIN_ROWS, seen.size)  # seen.size - 1 is the largest degree
-    counts = np.zeros(size, dtype=np.intp)
+    # int32 index arrays, as build_stack's, so scipy copies neither
+    counts = np.zeros(size, dtype=np.int32)
     counts[: degrees.size] = degrees
-    indptr = np.zeros(size + 1, dtype=np.intp)
+    indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+    cols = np.arange(indptr[-1], dtype=np.int32) - np.repeat(indptr[:-1], counts)
     star = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(size, size))
     x0 = initial_state(size, params.hidden_size)
     z, r, c, rs, out, scratch = np.empty((6, *x0.shape))
@@ -539,20 +570,28 @@ def forward_stack(
     colour refinement). A stack of at least ``PART_MIN_ROWS`` rows runs round
     1 once per distinct degree (``_degree_table``) and gathers the rows into
     its buffers: the new state alone without a cache, every round-1 array
-    with one. The table is at least ``PART_MIN_ROWS`` rows long, so every
-    product gives its rows the bits the stack's own products would, and
-    every value is bitwise that of the direct round. A smaller stack (one
+    with one. The table is at least ``PART_MIN_ROWS`` rows long, so at
+    H <= 64 every product gives its rows the bits the stack's own products
+    would, and every value is bitwise that of the direct round; at H=100
+    with two BLAS threads, or H=201 with one, the estimates differ from the
+    direct round's by up to about 9e-16 (OpenBLAS 0.3.31). A smaller stack (one
     graph of fewer than 64 nodes, say) runs round 1 directly like the rest.
 
     A stack of two parts (``_row_parts``) runs the GRU rounds of its second
     part on one worker thread while the caller runs the first, under the
-    caller's ``np.errstate``; every value is bitwise that of one part. The
-    readout runs once on the whole stack.
+    caller's ``np.errstate``; every value is bitwise that of one part. Each
+    part multiplies by its diagonal block of the adjacency, sliced from the
+    stack's CSR arrays (``_diagonal_block``). The readout runs once on the
+    whole stack.
     """
     _check_mode(mode)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    x0 = initial_state(stack.n_total, params.hidden_size)
+    use_table = stack.n_total >= PART_MIN_ROWS
+    if want_cache or not use_table:
+        x0 = initial_state(stack.n_total, params.hidden_size)
+    else:  # nothing reads it: the table gives round 1's state, round 2 writes here
+        x0 = np.empty((stack.n_total, params.hidden_size))
     if want_cache:
         block = np.empty((rounds, 5, *x0.shape))
         messages = np.empty((rounds, *x0.shape))
@@ -567,7 +606,7 @@ def forward_stack(
 
     parts = _row_parts(stack, params.hidden_size)
     with np.errstate(over="ignore"):
-        if stack.n_total >= PART_MIN_ROWS:
+        if use_table:
             row, table = _degree_table(params, stack.adjacency)
             # message, z, r, c, r * state and new state with a cache, else the state
             kept = zip(table, steps[0][1:]) if want_cache else [(table[-1], steps[0][-1])]
@@ -578,10 +617,10 @@ def forward_stack(
             _run_rounds(params, stack.adjacency, slice(0, stack.n_total), steps)
         else:
             first, second = parts
-            future = _submit(_run_rounds, params, stack.adjacency[second, second],
+            future = _submit(_run_rounds, params, _diagonal_block(stack.adjacency, second),
                              second, steps)
             try:
-                _run_rounds(params, stack.adjacency[first, first], first, steps)
+                _run_rounds(params, _diagonal_block(stack.adjacency, first), first, steps)
             finally:
                 future.result()
 

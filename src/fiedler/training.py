@@ -163,21 +163,27 @@ def evaluate(
     rounds: int,
     mode: str,
 ) -> tuple[float, float]:
-    """Mean per-graph absolute and squared error over a dataset."""
+    """Mean per-graph absolute and squared error over a dataset.
+
+    The graphs run in chunks of ``EVAL_CHUNK`` consecutive ones, in dataset
+    order, each one cache-free forward pass; a chunk's stack is built from
+    views of the dataset's arrays (``GraphArrays.slice``), so no edge row is
+    gathered or copied before ``build_stack`` shifts it.
+    """
     n = len(dataset)
     if not n:
         raise ValueError("dataset is empty")
     l1_sum = 0.0
     l2_sum = 0.0
     for start in range(0, n, EVAL_CHUNK):
-        chunk = np.arange(start, min(start + EVAL_CHUNK, n))
-        stack = build_stack(dataset.arrays.take(chunk))
-        targets = dataset.lambda2[chunk]
+        stop = min(start + EVAL_CHUNK, n)
+        stack = build_stack(dataset.arrays.slice(start, stop))
+        targets = dataset.lambda2[start:stop]
         estimates, _ = forward_stack(params, stack, rounds, mode, want_cache=False)
         if mode == "local":
             node_err = np.abs(estimates - np.repeat(targets, stack.sizes))
             per_graph_l1 = (
-                np.bincount(stack.node_graph, weights=node_err, minlength=len(chunk))
+                np.bincount(stack.node_graph, weights=node_err, minlength=stop - start)
                 / (2.0 * stack.sizes)
             )
         else:

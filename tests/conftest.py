@@ -5,8 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import scipy.sparse as sp
+
 import fiedler
-from fiedler.graphs import Graph
+from fiedler.graphs import Graph, GraphArrays
+from fiedler.model import GraphStack
 
 
 def complete_graph(n: int) -> Graph:
@@ -28,6 +32,23 @@ def star_graph(leaves: int) -> Graph:
 
 def degree(g: Graph, v: int) -> int:
     return sum(1 for i, j in g.edges if v in (i, j))
+
+
+def build_stack_int64_keys(arrays: GraphArrays) -> GraphStack:
+    """Reference: the stack as build_stack made it with int64 shifts and
+    keys at every size, letting scipy narrow both index arrays."""
+    sizes = arrays.sizes
+    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    total = int(offsets[-1])
+    ends = arrays.ends + np.repeat(offsets[:-1], np.diff(arrays.edge_offsets))[:, None]
+    i, j = ends.T
+    keys = np.sort(np.concatenate((i * total + j, j * total + i)))
+    indptr = np.zeros(total + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends.ravel(), minlength=total), out=indptr[1:])
+    adjacency = sp.csr_matrix((np.ones(keys.size), keys % total, indptr), shape=(total, total))
+    node_graph = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    return GraphStack(sizes, offsets, node_graph, adjacency)
 
 
 def run_at_one_and_two_blas_threads(script: str) -> None:

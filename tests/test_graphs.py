@@ -262,6 +262,24 @@ def test_arrays_match_the_per_graph_references(graphs):
     index = np.arange(len(graphs))[::-1].repeat(2)
     taken = arrays.take(index)
     assert [taken.graph(b) for b in range(len(index))] == [graphs[k] for k in index]
+    # the one-graph Laplacian, zero signs included
+    for g in graphs:
+        assert laplacian(g).tobytes() == laplacian_stack(GraphArrays.of([g]))[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_any_graph(), min_size=1, max_size=8), st.data())
+def test_slice_is_the_take_of_its_range_as_views(graphs, data):
+    arrays = GraphArrays.of(graphs)
+    start = data.draw(st.integers(0, len(graphs)))
+    stop = data.draw(st.integers(start, len(graphs)))
+    view, taken = arrays.slice(start, stop), arrays.take(np.arange(start, stop))
+    for name in ("sizes", "edge_offsets", "ends"):
+        got, want = getattr(view, name), getattr(taken, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert np.shares_memory(view.sizes, arrays.sizes) == (stop > start)
+    assert np.shares_memory(view.ends, arrays.ends) == (view.ends.size > 0)
 
 
 @settings(max_examples=30, deadline=None)

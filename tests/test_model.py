@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 
 from conftest import (
+    build_stack_int64_keys,
     complete_graph,
     cycle_graph,
     degree,
@@ -282,6 +283,63 @@ def test_build_stack_is_bitwise_equal_to_coo_reference(graphs):
     adjacency, _, _ = _build_stack_coo([graphs[k] for k in index])
     for name in ("indices", "indptr", "data"):
         assert getattr(gathered.adjacency, name).tobytes() == getattr(adjacency, name).tobytes()
+
+
+def _assert_same_stack(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.adjacency.indptr.dtype == got.adjacency.indices.dtype == np.int32
+    assert got.adjacency.shape == want.adjacency.shape
+    assert got.adjacency.has_sorted_indices
+    for name in ("sizes", "offsets", "node_graph"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def _graph_arrays(draw):
+    """The arrays of 1..12 graphs, edgeless ones included, as built, as a
+    permuted ``take`` (repeats included) or as a ``slice`` of them."""
+    graphs = draw(st.lists(_graphs(), min_size=1, max_size=12))
+    arrays = GraphArrays.of(graphs)
+    kind = draw(st.sampled_from(["built", "take", "slice"]))
+    if kind == "take":
+        index = draw(st.lists(st.integers(0, len(graphs) - 1), min_size=1, max_size=16))
+        return arrays.take(np.array(index))
+    if kind == "slice":
+        start = draw(st.integers(0, len(graphs) - 1))
+        return arrays.slice(start, draw(st.integers(start + 1, len(graphs))))
+    return arrays
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graph_arrays())
+@example(GraphArrays.of([Graph(3, [])]))
+@example(GraphArrays.of([complete_graph(64)]))
+def test_build_stack_is_bitwise_equal_to_the_int64_key_reference(arrays):
+    _assert_same_stack(build_stack(arrays), build_stack_int64_keys(arrays))
+
+
+@pytest.mark.parametrize("total", [46_340, 46_341])
+def test_build_stack_on_both_sides_of_the_int32_key_limit(total):
+    """Up to 46,340 rows every key ``row * total + column`` fits in int32;
+    from 46,341 rows the largest ones do not, and build_stack keys in int64."""
+    largest_key = (total - 1) * total + total - 2  # the edge of the last two rows
+    assert (largest_key < 2**31) == (total == 46_340)
+    rng = np.random.default_rng(total)
+    sizes = [64] * (total // 64) + [total % 64]
+    ends, counts = [], []
+    for n in sizes:
+        i, j = np.triu_indices(n, 1)
+        keep = rng.random(i.size) < 0.1
+        keep[-1] = True  # an edge between the graph's last two nodes
+        ends.append(np.column_stack((i[keep], j[keep])))
+        counts.append(int(keep.sum()))
+    arrays = GraphArrays.from_counts(sizes, counts, np.concatenate(ends).astype(np.intp))
+    stack = build_stack(arrays)
+    assert stack.n_total == total
+    _assert_same_stack(stack, build_stack_int64_keys(arrays))
 
 
 # -- GRU update ---------------------------------------------------------------
@@ -732,6 +790,42 @@ def test_split_stack_of_a_training_batch_is_bitwise_equal_to_one_part():
     want_loss, want_grad = _backward_stack_allocating(p, ref_cache, targets)
     assert loss.hex() == ref_loss.hex() == want_loss.hex()
     assert grad.tobytes() == ref_grad.tobytes() == want_grad.tobytes()
+
+
+def _assert_block_is_the_submatrix(adjacency, rows):
+    got, want = model._diagonal_block(adjacency, rows), adjacency[rows, rows]
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_graphs(), min_size=1, max_size=8))
+def test_diagonal_block_at_every_graph_boundary_is_the_submatrix(graphs):
+    stack = build_stack(GraphArrays.of(graphs))
+    n = stack.n_total
+    for cut in stack.offsets.tolist():
+        for rows in (slice(0, cut), slice(cut, n)):
+            _assert_block_is_the_submatrix(stack.adjacency, rows)
+
+
+def test_diagonal_block_of_every_split_part_is_the_submatrix():
+    """Each part ``_row_parts`` makes, at every H the split tests use, and
+    the parts of a training-size batch with no patch."""
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.2, 0.8), seed=41)
+    batch = build_stack(GraphArrays.of([generate_connected_graph(cfg, i) for i in range(256)]))
+    assert len(model._row_parts(batch, 32)) == 2
+    for rows in model._row_parts(batch, 32):
+        _assert_block_is_the_submatrix(batch.adjacency, rows)
+    with _split_small():
+        for sizes, seed, n_parts in SPLIT_STACKS.values():
+            stack = _stack_of_sizes(sizes, seed)
+            for h in (1, 8, 32, 64):
+                parts = model._row_parts(stack, h)
+                assert len(parts) == n_parts
+                for rows in parts:
+                    _assert_block_is_the_submatrix(stack.adjacency, rows)
 
 
 @pytest.mark.parametrize("h", [8, 16, 32, 64])

@@ -10,20 +10,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_graph
+from conftest import build_stack_int64_keys, complete_graph
 from fiedler import model
 from fiedler.data import Dataset, generate_dataset
-from fiedler.graphs import GraphGenConfig, generate_connected_graph
+from fiedler.graphs import GraphGenConfig, generate_connected_graph, generate_graph_arrays
 from fiedler.model import (
     build_stack,
     flatten_params,
     forward_stack,
     init_params,
     param_count,
+    stack_losses,
     unflatten_params,
 )
 from fiedler.spectral import algebraic_connectivity
 from fiedler.training import (
+    EVAL_CHUNK,
     AdamState,
     EpochRecord,
     Metrics,
@@ -260,6 +262,34 @@ def test_evaluate_constant_model_global():
     mean_l1, mean_l2 = evaluate(params, ds, 2, "global")
     assert mean_l1 == pytest.approx(abs(4.0 - label) / 2.0, rel=1e-12)
     assert mean_l2 == pytest.approx((4.0 - label) ** 2 / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_evaluate_is_bitwise_a_pass_per_gathered_chunk(mode):
+    """1,100 graphs run as two full chunks and a partial one; each chunk,
+    gathered with ``take`` and stacked by the int64-key reference builder,
+    gives the same sums by ``float.hex``."""
+    count = 1100
+    assert 2 * EVAL_CHUNK < count < 3 * EVAL_CHUNK
+    arrays = generate_graph_arrays(GraphGenConfig(seed=77), count)
+    labels = np.random.default_rng(77).uniform(0.05, 5.0, count)
+    params = init_params(32, seed=8)
+    l1 = l2 = 0.0
+    for start in range(0, count, EVAL_CHUNK):
+        chunk = np.arange(start, min(start + EVAL_CHUNK, count))
+        stack = build_stack_int64_keys(arrays.take(chunk))
+        targets = labels[chunk]
+        est, _ = forward_stack(params, stack, 2, mode, want_cache=False)
+        if mode == "local":
+            err = np.abs(est - np.repeat(targets, stack.sizes))
+            per_graph_l1 = (np.bincount(stack.node_graph, weights=err, minlength=chunk.size)
+                            / (2.0 * stack.sizes))
+        else:
+            per_graph_l1 = 0.5 * np.abs(est - targets)
+        l1 += float(per_graph_l1.sum())
+        l2 += float(stack_losses(est, stack, targets, mode).sum())
+    got = evaluate(params, Dataset(arrays, labels), 2, mode)
+    assert [v.hex() for v in got] == [(l1 / count).hex(), (l2 / count).hex()]
 
 
 def test_evaluate_rejects_empty_dataset():
