@@ -13,6 +13,7 @@ stage builds a ``Graph`` per line or per draw.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterator
 
@@ -128,7 +129,8 @@ def _line_error(line: str) -> str:
     try:
         n = int(fields["n"])
         edge_field = fields["edges"]
-        float(fields["lambda2"])
+        if not math.isfinite(float(fields["lambda2"])):
+            return f"lambda2={fields['lambda2']} is not a finite number"
         pairs = [pair.partition("-")[::2] for pair in edge_field.split(",")] if edge_field else []
         edges = [(int(i), int(j)) for i, j in pairs]
         g = Graph(n, edges)
@@ -143,7 +145,8 @@ def _parse_body(body) -> tuple[Dataset, int]:
     """The dataset of the body lines up to the first one whose fields do not
     parse, and that line's position (``len(body)`` when all parse). A line
     parses when it reads ``n=<n> edges=<i-j,...> lambda2=<float>`` with n in
-    [MIN_NODES, MAX_NODES]; its edges are checked afterwards, as arrays."""
+    [MIN_NODES, MAX_NODES] and a finite label; its edges are checked
+    afterwards, as arrays."""
     sizes, edge_fields, labels = [], [], []
     for _, line in body:
         try:
@@ -154,7 +157,8 @@ def _parse_body(body) -> tuple[Dataset, int]:
             n, label = int(n_tok[2:]), float(label_tok[8:])
         except ValueError:
             break
-        if not (MIN_NODES <= n <= MAX_NODES and _EDGE_FIELD.fullmatch(edge_tok, 6)):
+        if not (MIN_NODES <= n <= MAX_NODES and math.isfinite(label)
+                and _EDGE_FIELD.fullmatch(edge_tok, 6)):
             break
         sizes.append(n)
         edge_fields.append(edge_tok[6:])
@@ -178,7 +182,9 @@ def _bad_edges(arrays: GraphArrays) -> np.ndarray:
 
 def load_dataset(path, verify: bool = True) -> Dataset:
     """Read a dataset file; ``verify`` re-checks connectivity and every label
-    against the spectral oracle (tolerance 1e-9)."""
+    against the spectral oracle (tolerance 1e-9). A label that is not a
+    finite number (nan, inf) fails at its line whether or not ``verify`` is
+    set."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:

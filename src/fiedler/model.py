@@ -23,12 +23,15 @@ H <= 64 (verified with OpenBLAS 0.3.31 at one and two threads), not at every
 H: at H=100 with two BLAS threads, and at H=201 even with one, estimates
 differ from the direct round's in their last bits. No graph reads another
 graph's rows, so a large stack runs its GRU rounds as two row parts cut at a
-graph boundary, the second on a worker thread; each part is long enough that
-BLAS gives every row the bits the whole stack gives it, so the split changes
-no value either. The reverse pass of such a stack runs each round's
-weight-gradient sums on that worker while the caller runs the next round's
-row-local chain; each sum is the same whole-stack product, added in round
-order, so no gradient bit moves.
+graph boundary, the second on a worker thread, and its reverse pass runs each
+round's row-local chain in the same two parts while the two threads share the
+round's weight-gradient sums over all rows, each sum the whole-stack product
+added in round order. Every product a part makes has at least 64 rows and
+runs BLAS's NT kernel, so the split gives the one-part bits wherever BLAS
+gives a row the same bits in every such product: on a 256-graph batch, at
+every H up to 260 with one OpenBLAS 0.3.31 thread, and with two at every H up
+to 192 and at the multiples of 8 beyond; at the other H from 193 on, the
+parts' states, and so the gradients, differ in their last bits.
 
 The finite-difference check runs its probes in batches: a stack of copies of
 one graph, each copy with its own parameter set, where every weight product is
@@ -436,11 +439,15 @@ def _segment_mean(x: np.ndarray, stack: GraphStack) -> np.ndarray:
 
 
 # When a stack runs as two row parts. Each part needs at least PART_MIN_ROWS
-# node rows: OpenBLAS gives a row the same bits in every product of 38 or more
-# rows, wherever the row sits, so such a part computes every state bit for bit
-# as the whole stack does (``tests/test_model.py`` checks the property at
-# H <= 64; with two BLAS threads, at larger H that is not a multiple of 8, it
-# holds only in products of more than about H rows). Each
+# node rows: OpenBLAS gives a row the same bits in every NT product of 38 or
+# more rows, wherever the row sits, so such a part computes every state and
+# every reverse-chain gradient bit for bit as the whole stack does
+# (``tests/test_model.py`` checks the property at H <= 64, and split passes
+# at H 100, 128 and 256 too; with two BLAS threads, at larger H that is not a
+# multiple of 8, it holds only in products of more than about H rows, and a
+# 256-graph batch splits with other bits at every such H from 193 on). The
+# NN kernel gives a row bits that depend on the product's length at H=20,
+# 25..28 and others, so neither pass multiplies a part by it. Each
 # part also needs at least PART_MIN_VALUES state values (rows times H): below
 # that, two threads of short numpy calls handing the GIL back and forth cost
 # more than they save, so the pass runs slower split than whole. The same row
@@ -478,9 +485,10 @@ def _diagonal_block(adjacency: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
 
 @functools.cache
 def _part_worker() -> ThreadPoolExecutor:
-    """The one thread that runs a split stack's second part in a forward
-    pass and its weight-gradient sums in a backward pass; it starts on the
-    first split pass."""
+    """The one thread that runs a split stack's second part, in a forward
+    pass its GRU rounds and in a backward pass, round by round, its reverse
+    chain and half of the weight-gradient sums; it starts on the first split
+    pass."""
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiedler-part")
 
 
@@ -579,10 +587,13 @@ def forward_stack(
 
     A stack of two parts (``_row_parts``) runs the GRU rounds of its second
     part on one worker thread while the caller runs the first, under the
-    caller's ``np.errstate``; every value is bitwise that of one part. Each
-    part multiplies by its diagonal block of the adjacency, sliced from the
-    stack's CSR arrays (``_diagonal_block``). The readout runs once on the
-    whole stack.
+    caller's ``np.errstate``. Each part multiplies by its diagonal block of
+    the adjacency, sliced from the stack's CSR arrays (``_diagonal_block``).
+    Every value is bitwise that of one part where BLAS gives a row the same
+    bits in every product of ``PART_MIN_ROWS`` or more rows: checked at
+    every H up to 260 with one thread, and with two at every H up to 192
+    and the multiples of 8 beyond (``PART_MIN_ROWS``). The readout runs once
+    on the whole stack.
     """
     _check_mode(mode)
     if rounds < 1:
@@ -690,6 +701,70 @@ def _weight_sums(acc: np.ndarray, terms) -> None:
     )
 
 
+def _reverse_rounds(params: ModelParams, cache: ForwardCache, adjacency: sp.csr_matrix,
+                    rows: slice, dx: np.ndarray, d_blocks: np.ndarray):
+    """The reverse chain of one row part, one round per ``next``, last round
+    first.
+
+    ``adjacency`` is the part's diagonal block and ``dx`` the gradient of its
+    rows of the last state. Round t writes its rows of the gate-input
+    gradients d_az, d_ar, d_ac and of the sent messages' gradient into the
+    whole-stack ``(4, rows, H)`` buffer ``d_blocks[t % 2]``, works out the
+    state gradient round t - 1 starts from, and yields. Every gradient the
+    chain makes is row-local, so two parts may run at the same time.
+    """
+    # each matrix W as the transpose of a C-contiguous copy of W.T: products
+    # by it run BLAS's NT kernel, as the forward pass's do (see PART_MIN_ROWS)
+    gru = params.gru
+    w_msg, u_c, w_c, w_r, w_z, u_r, u_z = (
+        np.ascontiguousarray(w.T).T
+        for w in (params.w_msg, gru.u_c, gru.w_c, gru.w_r, gru.w_z, gru.u_r, gru.u_z))
+    for t in range(cache.rounds - 1, -1, -1):
+        x_prev = cache.states[t][rows]
+        z = cache.update_gates[t][rows]
+        r = cache.reset_gates[t][rows]
+        c = cache.candidates[t][rows]
+        # each gradient written in place in the formulas' operation order
+        # (d_az = ((dx * (c - x_prev)) * z) * (1 - z), ...)
+        d_az, d_ar, d_ac, d_sent = d_blocks[t % 2, :, rows]
+        # 1 - z, the old state's share of the new one, waits in d_ar's buffer
+        keep = np.subtract(1.0, z, out=d_ar)
+        np.multiply(dx, c - x_prev, out=d_az)
+        d_az *= z
+        d_az *= keep
+        np.multiply(dx, z, out=d_ac)
+        d_ac *= 1.0 - c * c
+        # nothing reads the initial state's gradient, which round t = 0 gives
+        dx_prev = dx * keep if t else None
+
+        d_rs = d_ac @ u_c
+        np.multiply(d_rs, x_prev, out=d_ar)
+        d_ar *= r
+        d_ar *= 1.0 - r
+
+        dm = d_ac @ w_c
+        dm += d_ar @ w_r
+        dm += d_az @ w_z
+        # message aggregation is symmetric: transpose of adjacency is itself
+        d_sent[...] = adjacency @ dm
+        if t:
+            dx_prev += d_rs * r
+            dx_prev += d_ar @ u_r
+            dx_prev += d_az @ u_z
+            dx = dx_prev + d_sent @ w_msg
+        yield
+
+
+def _reverse_step(sums, chain) -> None:
+    """One thread's share of a reverse round: the weight sums ``(acc,
+    terms)`` it was handed, if any, then the next round of ``chain``, if
+    any is left."""
+    if sums is not None:
+        _weight_sums(*sums)
+    if chain is not None:
+        next(chain, None)
+
+
 def backward_stack(
     params: ModelParams,
     cache: ForwardCache,
@@ -701,11 +776,21 @@ def backward_stack(
     canonical tensor order of ``param_views``.
 
     Each round's reverse chain (the gate, message and state gradients) is
-    row-local, and the next round's chain never reads the weight-gradient
-    sums over all node rows (``_weight_sums``). So for a stack of two parts
-    (``_row_parts``) the sums run on the part worker, one round at a time in
-    round order, while the caller runs the next round's chain; each sum is
-    the whole-stack product a serial pass makes, so every bit is the same.
+    row-local (``_reverse_rounds``), and no chain reads the weight-gradient
+    sums over all node rows (``_weight_sums``); so each round's sums are
+    added at the start of the round after it, and a last step adds round 0's.
+    A stack of two parts (``_row_parts``) runs each such step as one fork
+    and join on the part worker, under the caller's ``np.errstate``: the
+    caller adds the ``w_msg``..``w_c`` sums (the readout's, in the first
+    step) and runs its part's chain, the worker adds the ``u_z``..``b_c``
+    sums and runs the second part's chain. The chains write round t into the
+    buffer ``t % 2``, which round t - 2 overwrites only after the join that
+    ends round t's sums. Each sum is the whole-stack product a one-part pass
+    makes, each span is added with one ``+=`` in round order, and each chain
+    product has the bits ``forward_stack``'s split rests on; so the gradient
+    is bitwise that of one part where the forward pass's states are (see
+    ``PART_MIN_ROWS``). A one-part stack runs the same steps on the caller
+    alone.
     """
     stack = cache.stack
     mode = cache.mode
@@ -720,9 +805,9 @@ def backward_stack(
     span = {name: sl for name, sl, _ in _layout(params.hidden_size)}
     # w_msg, the six GRU matrices and the three GRU biases lie end to end,
     # and so do the readout's w1, b1, w2 and b2
-    g_rounds = grad[: span["gru.b_c"].stop]
+    g_head = grad[: span["gru.w_c"].stop]
+    g_tail = grad[span["gru.u_z"].start : span["gru.b_c"].stop]
     g_ro = grad[span[f"readout_{mode}.w1"].start : span[f"readout_{mode}.b2"].stop]
-    gru = params.gru
 
     # d(mean loss)/d(estimate)
     if mode == "local":
@@ -733,82 +818,45 @@ def backward_stack(
         d_est = (cache.estimates - targets) / n_graphs
         ro = params.readout_global
 
-    overlap = len(_row_parts(stack, params.hidden_size)) == 2
-    pending = None
+    d_hidden = d_est[:, None] * ro.w2[None, :]
+    d_preact = np.where(cache.readout_preact > 0.0, d_hidden, 0.0)
+    d_input = d_preact @ ro.w1
+    if mode == "local":
+        dx = d_input
+    else:
+        dx = np.repeat(d_input / stack.sizes[:, None], stack.sizes, axis=0)
 
-    def add_sums(acc, terms) -> None:
-        nonlocal pending
-        if not overlap:
-            _weight_sums(acc, terms)
-            return
-        if pending is not None:
-            pending.result()  # at most one round's sums in flight
-        pending = _submit(_weight_sums, acc, terms)
-
-    try:
-        d_hidden = d_est[:, None] * ro.w2[None, :]
-        d_preact = np.where(cache.readout_preact > 0.0, d_hidden, 0.0)
-        # w1, b1, w2, b2; a (rows, 1) column sums as the vector does
-        add_sums(g_ro, ((d_preact, cache.readout_input), (d_preact, None),
-                        (cache.readout_hidden, d_est), (d_est[:, None], None)))
-        d_input = d_preact @ ro.w1
-
-        if mode == "local":
-            dx = d_input
+    parts = _row_parts(stack, params.hidden_size)
+    blocks = ([stack.adjacency] if len(parts) == 1
+              else [_diagonal_block(stack.adjacency, rows) for rows in parts])
+    # each round's d_az, d_ar, d_ac and d_sent, round t in block t % 2
+    d_blocks = np.empty((2, 4, *dx.shape))
+    chains = [_reverse_rounds(params, cache, block, rows, dx[rows], d_blocks)
+              for block, rows in zip(blocks, parts)]
+    # the sums the caller and the worker add first in a round: in the first,
+    # the readout's w1, b1, w2 and b2 (a (rows, 1) column sums as the vector
+    # does), then those of the round before
+    sums = ((g_ro, ((d_preact, cache.readout_input), (d_preact, None),
+                    (cache.readout_hidden, d_est), (d_est[:, None], None))), None)
+    for t in range(cache.rounds - 1, -2, -1):  # at t = -1 only round 0's sums are left
+        if len(chains) == 1:
+            _reverse_step(sums[1], None)
+            _reverse_step(sums[0], chains[0])
         else:
-            dx = np.repeat(d_input / stack.sizes[:, None], stack.sizes, axis=0)
-
-        for t in range(cache.rounds - 1, -1, -1):
-            x_prev = cache.states[t]
-            m = cache.messages[t]
-            z = cache.update_gates[t]
-            r = cache.reset_gates[t]
-            c = cache.candidates[t]
-            rs = cache.reset_states[t]
-
-            # the gate-input gradients, each written in place in the formulas'
-            # operation order (d_az = ((dx * (c - x_prev)) * z) * (1 - z), ...)
-            # into one block, so that _weight_sums makes one batched product
-            # per shared right operand
-            d_gates = np.empty((3, *dx.shape))
-            d_az, d_ar, d_ac = d_gates
-            # 1 - z, the old state's share of the new one, waits in d_ar's buffer
-            keep = np.subtract(1.0, z, out=d_ar)
-            np.multiply(dx, c - x_prev, out=d_az)
-            d_az *= z
-            d_az *= keep
-            np.multiply(dx, z, out=d_ac)
-            d_ac *= 1.0 - c * c
-            # nothing reads the initial state's gradient, which round t = 0 gives
-            dx_prev = dx * keep if t else None
-
-            d_rs = d_ac @ gru.u_c
-            np.multiply(d_rs, x_prev, out=d_ar)
-            d_ar *= r
-            d_ar *= 1.0 - r
-
-            dm = d_ac @ gru.w_c
-            dm += d_ar @ gru.w_r
-            dm += d_az @ gru.w_z
-            # message aggregation is symmetric: transpose of adjacency is itself
-            d_sent = stack.adjacency @ dm
-            add_sums(g_rounds, (
-                (d_sent, x_prev),          # w_msg
-                (d_gates, m),              # w_z, w_r, w_c
-                (d_gates[:2], x_prev),     # u_z, u_r
-                (d_ac, rs),                # u_c
-                (d_gates, None),           # b_z, b_r, b_c
-            ))
-            if t == 0:
-                break
-            dx_prev += d_rs * r
-            dx_prev += d_ar @ gru.u_r
-            dx_prev += d_az @ gru.u_z
-            dx = dx_prev + d_sent @ params.w_msg
-    finally:
-        if pending is not None:
-            pending.result()
-
+            future = _submit(_reverse_step, sums[1], chains[1])
+            try:
+                _reverse_step(sums[0], chains[0])
+            finally:
+                future.result()
+        d_gates, d_sent = d_blocks[t % 2, :3], d_blocks[t % 2, 3]
+        x_prev = cache.states[t]
+        sums = (
+            (g_head, ((d_sent, x_prev),                      # w_msg
+                      (d_gates, cache.messages[t]))),        # w_z, w_r, w_c
+            (g_tail, ((d_gates[:2], x_prev),                 # u_z, u_r
+                      (d_gates[2], cache.reset_states[t]),   # u_c
+                      (d_gates, None))),                     # b_z, b_r, b_c
+        )
     return loss, grad
 
 

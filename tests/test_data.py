@@ -117,13 +117,15 @@ def test_load_rejects_malformed_files(tmp_path):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_load_rejects_non_finite_label(tmp_path, small_dataset, bad):
+    """At parse time, so with or without the oracle's check."""
     path = tmp_path / "data.txt"
     save_dataset(small_dataset, path)
     lines = path.read_text().splitlines()
     lines[3] = lines[3].rsplit("lambda2=", 1)[0] + f"lambda2={bad}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"data\.txt:4: label .* disagrees with oracle"):
-        load_dataset(path)
+    for verify in (True, False):
+        with pytest.raises(ValueError, match=rf"data\.txt:4: lambda2={bad} is not a finite number"):
+            load_dataset(path, verify=verify)
 
 
 @pytest.mark.parametrize("edges", ["0-1,0-1,1-2", "1-2,0-1", "1-0,1-2"])

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import multiprocessing
@@ -7,7 +8,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
 from operator import attrgetter
 from unittest import mock
 
@@ -930,97 +930,174 @@ def test_split_passes_from_many_threads_stay_bitwise():
 
 def _split_case():
     """Parameters, a forward cache of the 198-row stack (H=8, T=3) and its
-    targets: the input of a backward pass that overlaps under _split_small."""
+    targets: the input of a backward pass that splits under _split_small."""
     sizes = SPLIT_STACKS["198-rows"][0]
     p = _perturbed_params(8, seed=3)
     _, cache = forward_stack(p, _stack_of_sizes(sizes, 3), 3, "local")
     return p, cache, np.linspace(0.2, 2.0, len(sizes))
 
 
-def _patched_weight_sums(before=None, after=None):
-    """Patch ``_weight_sums`` with one that calls ``before()`` and
-    ``after()`` around the real sums."""
-    weight_sums = model._weight_sums
+def _on_worker() -> bool:
+    return threading.current_thread().name.startswith("fiedler-part")
 
-    def spy(*args):
-        if before is not None:
-            before()
+
+@contextlib.contextmanager
+def _backward_jobs(sums=None, chain=None):
+    """Number each thread's ``_reverse_step`` jobs from 0, and call
+    ``sums(job)`` before each weight-sums call and ``chain(job)`` after each
+    chain round, in the thread and job they run in. Yields the lists of the
+    jobs started and ended, as ``(on_worker, job)``."""
+    started, ended, local = [], [], threading.local()
+    step, weight_sums, rounds = model._reverse_step, model._weight_sums, model._reverse_rounds
+
+    def step_spy(*args):
+        local.job = sum(1 for worker, _ in started if worker == _on_worker())
+        started.append((_on_worker(), local.job))
+        try:
+            step(*args)
+        finally:
+            ended.append((_on_worker(), local.job))
+
+    def sums_spy(*args):
+        if sums is not None:
+            sums(local.job)
         weight_sums(*args)
-        if after is not None:
-            after()
 
-    return mock.patch.object(model, "_weight_sums", spy)
+    def rounds_spy(*args):
+        for _ in rounds(*args):
+            if chain is not None:
+                chain(local.job)
+            yield
+
+    with (mock.patch.object(model, "_reverse_step", step_spy),
+          mock.patch.object(model, "_weight_sums", sums_spy),
+          mock.patch.object(model, "_reverse_rounds", rounds_spy)):
+        yield started, ended
+
+
+def _call_within(seconds, fn, *args):
+    """``fn(*args)`` on a thread of its own; fails unless it returns or
+    raises within ``seconds``."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:  # re-raised below, in the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def test_overlapped_backward_sums_on_the_worker_under_the_callers_errstate():
+    """T=3 split: the worker runs four jobs, its three rounds of sums and of
+    its part's chain under the caller's np.errstate; the caller adds the
+    readout's sums and three rounds'. One part: every job on the caller."""
     p, cache, targets = _split_case()
     for split, on_worker in ((_split_small, True), (_one_part, False)):
         seen = []
-        record = lambda: seen.append((threading.current_thread(), np.geterr()))
-        with split(), _patched_weight_sums(record), np.errstate(invalid="ignore"):
+        record = lambda job: seen.append((_on_worker(), np.geterr()["invalid"]))
+        with (split(), _backward_jobs(record, record) as (started, _),
+              np.errstate(invalid="ignore")):
             backward_stack(p, cache, targets)
-        assert len(seen) == 4  # the readout's sums, then one job per round
-        for thread, err in seen:
-            assert (thread is not threading.current_thread()) is on_worker
-            assert err["invalid"] == "ignore"
+        assert sum(worker for worker, _ in started) == (4 if on_worker else 0)
+        assert sum(worker for worker, _ in seen) == (6 if on_worker else 0)
+        # the readout's sums and two spans per round; three rounds per part
+        assert len(seen) == 1 + 2 * 3 + 3 * (2 if on_worker else 1)
+        assert all(invalid == "ignore" for _, invalid in seen)
 
 
-@pytest.mark.parametrize("k", [0, 1, 3])
-def test_overlapped_backward_raises_a_worker_error_and_recovers(k):
-    """Sums job k (0: the readout's, 3: the last round's) raises on the
-    worker: the call raises it before it submits another job, and the next
-    call gives the serial bits."""
+def _assert_error_reaches_the_caller(on_worker, k):
+    """An error in the sums, then in the chain, of job k of the worker or the
+    caller (T=3 split: jobs 0..3, each thread's job 3 adds round 0's sums
+    alone, and the worker's job 0 adds none) is raised by the call, which
+    starts no later job; the next call gives the one-part bits."""
     p, cache, targets = _split_case()
-    jobs = []
-
-    def fail_at_k():
-        jobs.append(threading.current_thread())
-        if len(jobs) == k + 1:
-            raise FloatingPointError(f"job {k}")
-
-    with _split_small():
-        with _patched_weight_sums(fail_at_k), pytest.raises(FloatingPointError, match=f"job {k}"):
-            backward_stack(p, cache, targets)
-        assert len(jobs) == k + 1
-        assert threading.current_thread() not in jobs
-        got_loss, got = backward_stack(p, cache, targets)
     with _one_part():
         want_loss, want = backward_stack(p, cache, targets)
-    assert got_loss.hex() == want_loss.hex()
-    assert got.tobytes() == want.tobytes()
+    for kind, has_kind in (("sums", k > 0 or not on_worker), ("chain", k < 3)):
+        def fail(job):
+            if (_on_worker(), job) == (on_worker, k):
+                raise FloatingPointError(f"{kind} {k}")
+
+        with _split_small():
+            with _backward_jobs(**{kind: fail}) as (started, _):
+                if has_kind:
+                    with pytest.raises(FloatingPointError, match=f"^{kind} {k}$"):
+                        _call_within(60, backward_stack, p, cache, targets)
+                    assert max(job for _, job in started) == k
+                else:
+                    _call_within(60, backward_stack, p, cache, targets)
+            got_loss, got = backward_stack(p, cache, targets)
+        assert got_loss.hex() == want_loss.hex()
+        assert got.tobytes() == want.tobytes()
 
 
-class _AdjacencyFailingAfter:
-    """An adjacency whose products raise after the first ``calls`` ones."""
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_overlapped_backward_raises_a_worker_error_and_recovers(k):
+    _assert_error_reaches_the_caller(True, k)
 
-    def __init__(self, adjacency, calls):
-        self.adjacency, self.calls = adjacency, calls
 
-    def __matmul__(self, other):
-        self.calls -= 1
-        if self.calls < 0:
-            raise FloatingPointError("chain")
-        return self.adjacency @ other
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_overlapped_backward_raises_a_caller_error_and_recovers(k):
+    _assert_error_reaches_the_caller(False, k)
 
 
 @pytest.mark.parametrize("chain_fails", [False, True])
 def test_overlapped_backward_returns_only_after_its_last_sums(chain_fails):
-    """Slow sums jobs: the call, returning or raising from the chain of round
-    2 of 3, waits until every job it submitted has ended."""
+    """Slow worker jobs: the call, returning or raising from the caller's
+    chain in job 1 of 4, waits until every job it started has ended."""
     p, cache, targets = _split_case()
-    if chain_fails:
-        stack = replace(cache.stack, adjacency=_AdjacencyFailingAfter(cache.stack.adjacency, 1))
-        cache = replace(cache, stack=stack)
-    started, ended = [], []
-    slow_start = lambda: (started.append(1), time.sleep(0.05))
-    with _split_small(), _patched_weight_sums(slow_start, lambda: ended.append(1)):
+
+    def slow(job):
+        if _on_worker():
+            time.sleep(0.05)
+
+    def chain(job):
+        slow(job)
+        if chain_fails and not _on_worker() and job == 1:
+            raise FloatingPointError("chain")
+
+    with _split_small(), _backward_jobs(slow, chain) as (started, ended):
         if chain_fails:
             with pytest.raises(FloatingPointError, match="chain"):
                 backward_stack(p, cache, targets)
         else:
             backward_stack(p, cache, targets)
         done = len(ended)
-    assert done == len(started) == (2 if chain_fails else 4)
+    assert done == len(started) == (4 if chain_fails else 8)
+
+
+def _assert_split_matches_one_part(h):
+    """A 256-graph batch, both modes, T=2: the pass cut in two parts gives
+    the bits of the pass in one, each running round 1 on the degree table."""
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.2, 0.8), seed=41)
+    stack = build_stack(GraphArrays.of([generate_connected_graph(cfg, i) for i in range(256)]))
+    assert len(model._row_parts(stack, h)) == 2
+    p = _perturbed_params(h, seed=h)
+    targets = np.linspace(0.2, 2.0, len(stack.sizes))
+    for mode in MODES:
+        got = _full_pass(p, stack, 2, mode, targets)
+        with mock.patch.object(model, "PART_MIN_VALUES", sys.maxsize):
+            assert len(model._row_parts(stack, h)) == 1
+            want = _full_pass(p, stack, 2, mode, targets)
+        _assert_same_pass(got, want)
+
+
+def test_split_stack_above_h64_is_bitwise_one_part_at_one_and_two_blas_threads():
+    """And at H=20 and 27, where an NN product's row bits depend on its
+    length: the reverse chain must multiply with the NT kernel."""
+    run_at_one_and_two_blas_threads(
+        "import test_model as t\n"
+        "for h in (20, 27, 100, 128, 256):\n"
+        "    t._assert_split_matches_one_part(h)\n"
+    )
 
 
 # -- round 1 per degree ---------------------------------------------------------
