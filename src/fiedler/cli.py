@@ -404,6 +404,9 @@ def _cmd_simulate(args) -> int:
     g = generate_connected_graph(cfg, 0)
 
     dropped = _parse_edges(args.drop_edges) if args.drop_edges else ()
+    for i, j in dropped:
+        if (min(i, j), max(i, j)) not in g.edges:
+            raise UsageError(f"--drop-edges: {i}-{j} is not an edge of the simulated graph")
     drop_from = 1 if args.drop_from is None else args.drop_from
     try:
         estimates, trace = run_simulation(params, g, rounds, dropped, drop_from)

@@ -42,7 +42,13 @@ kernel a single-graph pass runs. Batched matmul gives each copy the bits of
 its own 2-D product, the NN and NT products agree bit for bit at the sizes
 listed at ``GRADCHECK_CHUNK_BYTES`` (H=8 among them), and the sparse message
 sum adds each row's neighbours in the same order; so at those sizes every
-probe's loss is bitwise that of a single-graph pass.
+probe's loss is bitwise that of a single-graph pass. A probe skips the rounds
+its coordinate cannot change: every node starts at e1, so round 1 reads only
+column 0 of ``w_msg``, ``u_z``, ``u_r`` and ``u_c``, and a readout coordinate
+changes no round. Such a probe starts from the states the single-graph pass
+of the analytic gradient cached before its first round. Those states come
+from NT products, so they too leave each loss bitwise where NN and NT agree,
+and elsewhere may move it in the last bits.
 """
 
 from __future__ import annotations
@@ -913,25 +919,67 @@ def forward(params: ModelParams, g: Graph, rounds: int, mode: str):
 GRADCHECK_CHUNK_BYTES = 1 << 19
 
 
+@functools.lru_cache(maxsize=None)
+def _first_rounds(hidden_size: int, rounds: int, mode: str) -> np.ndarray:
+    """The first round of a ``rounds``-round pass in ``mode`` that reads each
+    canonical coordinate, where round ``rounds + 1`` is the readout and
+    ``rounds + 2`` marks the readout the mode never reads.
+
+    Every node starts at e1 (``initial_state``), and round 1 multiplies
+    that state, or ``r * state``, by ``w_msg``, ``u_z``, ``u_r`` and
+    ``u_c``: column j > 0 of those meets a zero entry, and each ``0 * w`` it
+    adds to a product changes no bit, so round 2 reads it first (the readout,
+    at T=1). Every other round coordinate is read in round 1. The map is
+    read-only.
+    """
+    h = hidden_size
+    first = np.ones(param_count(h), dtype=np.intp)
+    later = np.arange(h * h) % h > 0  # columns 1..H-1 of a row-major matrix
+    read = f"readout_{mode}."
+    for name, sl, _ in _layout(h):
+        if name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c"):
+            first[sl][later] = min(2, rounds + 1)
+        elif name.startswith("readout"):
+            first[sl] = rounds + 1 if name.startswith(read) else rounds + 2
+    first.flags.writeable = False
+    return first
+
+
+def _stack_head(stack: GraphStack, graphs: int) -> GraphStack:
+    """The stack of the first ``graphs`` graphs of ``stack``: views of its
+    arrays, the adjacency cut by ``_diagonal_block``."""
+    rows = slice(0, int(stack.offsets[graphs]))
+    return GraphStack(
+        sizes=stack.sizes[:graphs],
+        offsets=stack.offsets[: graphs + 1],
+        node_graph=stack.node_graph[rows],
+        adjacency=_diagonal_block(stack.adjacency, rows),
+    )
+
+
 def _probe_losses(
     probe: ModelParams,
     stack: GraphStack,
+    start: np.ndarray,
     target: float,
     rounds: int,
     mode: str,
 ) -> np.ndarray:
     """Loss of each of K probes (``_probe_views``) on its own copy of a graph
-    against ``target``: ``stack`` holds K copies of the graph, and copy k runs
-    with probe k.
+    against ``target``: ``stack`` holds K copies of the graph, and copy k
+    starts from the graph's ``(n, H)`` node states ``start`` and runs
+    ``rounds`` rounds (none: the readout alone) and the readout with probe k.
 
     The same operations as ``forward_stack`` without a cache and
     ``stack_losses``, batched over the probes. Where the NN products of the
-    round matrices give the bits of the NT ones (``GRADCHECK_CHUNK_BYTES``),
-    every loss is bitwise the one a single-graph pass with that probe's
-    parameters gives.
+    round matrices give the bits of the NT ones (``GRADCHECK_CHUNK_BYTES``)
+    and ``start`` holds the states a single-graph pass with probe k's
+    parameters reaches before those rounds, every loss is bitwise the one
+    that pass gives.
     """
     k, h = probe.w_msg.shape[0], probe.hidden_size
-    x = initial_state(stack.n_total, h).reshape(k, -1, h)
+    x = np.empty((k, *start.shape))
+    x[...] = start
     scratch = np.empty(x.shape)
     z, r, c, rs, spare = np.empty((5, *x.shape))
     with np.errstate(over="ignore"):
@@ -965,20 +1013,30 @@ def grad_check(
     random subset (never fewer than 500 coordinates). ``corrupt`` deliberately
     damages one analytic gradient entry, for validating the detector itself.
 
-    The probes run in chunks of coordinates. One block of at most
-    GRADCHECK_CHUNK_BYTES holds the flat parameters once per probe, filled
-    once per check in the layout of ``_probe_positions``; each chunk moves
-    each probe's coordinate by +epsilon or -epsilon, evaluates every probe's
-    loss in one batched forward pass (``_probe_losses``) and puts back the
-    entries it moved. The probe stack and views are built once per distinct
-    chunk size, so at most twice. Where the NN products of the transposed
+    A probe starts at the first round its coordinate can change
+    (``_first_rounds``), from the states the analytic gradient's cached
+    pass reached before it: a coordinate of a round matrix's columns 1..H-1
+    that round 1 cannot read runs rounds 2..T, one of the mode's readout
+    only the readout, and the others every round. The coordinates of the
+    readout the mode does not read need no pass: both of their probe losses
+    are the unperturbed loss.
+
+    The probes run in chunks of coordinates that share their first round.
+    One block of at most GRADCHECK_CHUNK_BYTES holds the flat parameters
+    once per probe, filled once per check in the layout of
+    ``_probe_positions``; each chunk moves each probe's coordinate by
+    +epsilon or -epsilon, evaluates every probe's loss in one batched
+    forward pass (``_probe_losses``) and puts back the entries it moved.
+    The stack of probe copies of the graph is built once per check, a
+    shorter chunk taking a prefix of it (``_stack_head``), and the views
+    once per distinct chunk size. Where the NN products of the transposed
     round matrices give the NT bits (``GRADCHECK_CHUNK_BYTES``), as at H=8,
     each loss, and so the result, is bitwise the one of a separate
-    single-graph pass per probe; elsewhere it may differ in the last bits.
-    ``params`` itself is never written. The coordinates of the readout the
-    mode does not read need no pass: both of their probe losses are the
-    unperturbed loss. Returns NaN when one coordinate's error is NaN (say,
-    from a non-finite loss): such a check measured nothing and must not pass.
+    single-graph pass per probe; elsewhere it may differ in the last bits,
+    as the cached states come from NT products and the probe rounds from
+    NN ones. ``params`` itself is never written. Returns NaN when one
+    coordinate's error is NaN (say, from a non-finite loss): such a check
+    measured nothing and must not pass.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
@@ -1004,34 +1062,36 @@ def grad_check(
         a = analytic[idx]
         return np.abs(a - numeric) / np.maximum(1e-8, np.abs(a) + np.abs(numeric))
 
+    first = _first_rounds(params.hidden_size, rounds, mode)[coords]
     # Moving a coordinate of the readout the mode never reads leaves both
     # probe losses at the unperturbed loss, so its central difference is
     # (loss - loss) / (2 epsilon) without a forward pass.
-    unread = np.zeros(total, dtype=bool)
-    skipped = "readout_global." if mode == "local" else "readout_local."
-    for name, sl, _ in _layout(params.hidden_size):
-        unread[sl] = name.startswith(skipped)
-    idle, coords = coords[unread[coords]], coords[~unread[coords]]
+    idle = coords[first > rounds + 1]
     rels = [rel_errors(idle, np.full(idle.size, (loss - loss) / (2.0 * epsilon)))]
 
-    per_chunk = max(1, min(coords.size, GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)))
+    groups = [(s, coords[first == s]) for s in range(1, rounds + 2)]
+    budget = GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)
+    per_chunk = max(1, min(budget, max(idx.size for _, idx in groups)))
     block = _probe_block(theta, 2 * per_chunk, params.hidden_size)
+    copies = build_stack(one.take(np.zeros(2 * per_chunk, dtype=np.intp)))
     pos = _probe_positions(params.hidden_size)
-    # the probe stack and views of each chunk size: the full one and the tail
+    # the probe stack and views of each chunk size: the full one and the tails
     batches: dict[int, tuple[GraphStack, ModelParams]] = {}
-    for start in range(0, coords.size, per_chunk):
+    chunks = [(s, idx[i : i + per_chunk])
+              for s, idx in groups for i in range(0, idx.size, per_chunk)]
+    for s, idx in chunks:
         if np.isnan(rels[-1]).any():
             break  # a NaN error already decides the result
-        idx = coords[start : start + per_chunk]
         k = idx.size
         if k not in batches:
-            batches[k] = (build_stack(one.take(np.zeros(2 * k, dtype=np.intp))),
+            batches[k] = (_stack_head(copies, 2 * k),
                           _probe_views(block[: 2 * k], params.hidden_size))
         stack_k, probe = batches[k]
         rows, cols = np.arange(k), pos[idx]
         block[rows, cols] = theta[idx] + epsilon
         block[k + rows, cols] = theta[idx] - epsilon
-        losses = _probe_losses(probe, stack_k, float(target), rounds, mode)
+        losses = _probe_losses(probe, stack_k, cache.states[s - 1], float(target),
+                               rounds + 1 - s, mode)
         block[rows, cols] = block[k + rows, cols] = theta[idx]
         rels.append(rel_errors(idx, (losses[:k] - losses[k:]) / (2.0 * epsilon)))
     rel = np.concatenate(rels)

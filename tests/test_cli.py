@@ -334,6 +334,8 @@ def test_unknown_flag_is_usage_error():
     (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6,x", "--out", "{tmp}/s.csv"],
      None, 1, "--sizes"),
     (["simulate", "--checkpoint", "{ckpt}", "--drop-edges", "0-x"], None, 1, "--drop-edges"),
+    (["simulate", "--checkpoint", "{ckpt}", "--n", "5", "--drop-edges", "0-9"], None, 1,
+     "--drop-edges: 0-9 is not an edge of the simulated graph"),
     (["eval", "--checkpoint", "{ckpt}", "--data", "{val}", "--T", "0"], None, 1, "--T"),
     (["sweep", "--checkpoint", "{ckpt}", "--sizes", "6", "--T", "0", "--out", "{tmp}/s.csv"],
      None, 1, "--T"),
@@ -368,7 +370,7 @@ def test_unknown_flag_is_usage_error():
     (["train", "--train-data", "{tmp}/empty.txt", "--val-data", "{tmp}/empty.txt",
       "--out-dir", "{tmp}/r"], None, 2, "non-empty"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
-        "conf-epochs", "conf-batch", "sizes", "drop-edges",
+        "conf-epochs", "conf-batch", "sizes", "drop-edges", "drop-edges-not-an-edge",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
         "train-manifest-json", "train-manifest-key", "drop-from-0", "drop-from-negative",
         "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan",

@@ -1463,13 +1463,16 @@ def test_probe_positions_map_the_transposed_round_matrices():
     assert (block[:, :9] == param_views(theta, h).w_msg.T.ravel()).all()
 
 
-@pytest.mark.parametrize("per_chunk, chunk_sizes", [(51, [51, 43]), (7, [7]), (1, [1])])
+@pytest.mark.parametrize("per_chunk, chunk_sizes",
+                         [(51, [51, 44, 20, 30]), (7, [7, 3, 4]), (1, [1])])
 def test_grad_check_fills_the_block_once_and_moves_one_coordinate_per_probe(
         per_chunk, chunk_sizes):
-    """Local mode at H=8 probes 553 coordinates: one block fill per check,
-    one probe stack and set of views per distinct chunk size, and every probe
-    reads theta with only its own coordinate moved, so each chunk restored
-    what the one before it perturbed. The result is the reference's."""
+    """Local mode at H=8 probes 553 coordinates in three groups by first
+    round, 248 from round 1, 224 from round 2 and 81 readout coordinates,
+    each chunked on its own: one block fill per check, one set of views per
+    distinct chunk size, and every probe reads theta with only its own
+    coordinate moved, so each chunk restored what the one before it
+    perturbed. The result is the reference's."""
     g = rand_graph(352, 5, 5)
     p = _perturbed_params(8, seed=952)
     theta = flatten_params(p)
@@ -1499,6 +1502,83 @@ def test_grad_check_fills_the_block_once_and_moves_one_coordinate_per_probe(
     assert [args[0].shape[0] // 2 for args in views] == chunk_sizes
     assert len(moved) == 634 - 81 and len(set(moved)) == len(moved)
     assert got.hex() == _grad_check_copying(p, g, 2, "local", epsilon=eps).hex()
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("mode", MODES)
+def test_grad_check_starts_each_probe_at_its_first_round(mode, rounds):
+    """At H=8 the probes of the mode's readout run no round, those of
+    columns 1..H-1 of w_msg, u_z, u_r and u_c run T - 1 rounds (none at T=1),
+    and the rest all T, each from the single-graph pass's state before its
+    first round. The probe stack is built once per check, and the result is
+    the reference's."""
+    h = 8
+    g = rand_graph(352, 5, 5)
+    p = _perturbed_params(h, seed=952)
+    theta = flatten_params(p)
+    _, cache = forward(p, g, rounds, mode)
+    want = {}
+    for name, sl, _ in model._layout(h):
+        column = np.arange(sl.stop - sl.start) % h
+        for coord, j in zip(range(sl.start, sl.stop), column):
+            if name.startswith(f"readout_{mode}."):
+                want[coord] = 0
+            elif not name.startswith("readout"):
+                late = name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c") and j > 0
+                want[coord] = rounds - 1 if late else rounds
+    ran = {}
+    real = model._probe_losses
+
+    def probe_losses(probe, stack, start, target, run, mode):
+        k = len(stack.sizes) // 2
+        _, cols = np.nonzero(_probe_vectors(probe, 2 * k)[:k] != theta)
+        ran.update(dict.fromkeys(cols.tolist(), run))
+        assert start.tobytes() == cache.states[rounds - run].tobytes()
+        return real(probe, stack, start, target, run, mode)
+
+    stacks, stack_patch = _calls("build_stack")
+    with stack_patch, mock.patch.object(model, "_probe_losses", probe_losses):
+        got = grad_check(p, g, rounds, mode)
+    assert len(stacks) == 2  # the graph's own and that of the probe copies
+    assert ran == want
+    assert got.hex() == _grad_check_copying(p, g, rounds, mode).hex()
+
+
+@pytest.mark.parametrize("h", [1, 3, 8, 17, 20, 27, 32, 40])
+def test_first_rounds_leave_the_states_before_them_unchanged(h):
+    """The reach map alone: a coordinate the map starts at round s, moved by
+    +-epsilon, leaves every state a single-graph pass caches before round s
+    bitwise unchanged, at T 1..3 in both modes. Each column 1..H-1 of w_msg,
+    u_z, u_r and u_c is moved in one row, so any initial state but e1 makes
+    a round-1 state move."""
+    g = rand_graph(h, 5, 5)
+    stack = build_stack(GraphArrays.of([g]))
+    theta = flatten_params(_perturbed_params(h, seed=h))
+    rng = np.random.default_rng(h)
+    starts = {name: sl.start for name, sl, _ in model._layout(h)}
+    sampled = [starts[name] + rng.integers(h) * h + j
+               for name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c") for j in range(1, h)]
+    sampled += rng.choice(theta.size, size=min(20, theta.size), replace=False).tolist()
+
+    def states(vec, rounds, mode):
+        _, cache = forward_stack(param_views(vec, h), stack, rounds, mode)
+        return [x.tobytes() for x in cache.states]
+
+    for rounds, mode in itertools.product((1, 2, 3), MODES):
+        first = model._first_rounds(h, rounds, mode)
+        assert not first.flags.writeable
+        readout, late = h * h + 2 * h + 1, 4 * h * (h - 1)
+        counts = np.zeros(rounds + 3, dtype=int)
+        np.add.at(counts, [1, min(2, rounds + 1), rounds + 1, rounds + 2],
+                  [theta.size - late - 2 * readout, late, readout, readout])
+        assert np.bincount(first, minlength=rounds + 3).tolist() == counts.tolist()
+        base = states(theta, rounds, mode)
+        for coord in sampled:
+            s = int(first[coord])
+            for step in (1e-5, -1e-5):
+                moved = theta.copy()
+                moved[coord] += step
+                assert states(moved, rounds, mode)[:s] == base[:s], (rounds, mode, coord, s)
 
 
 @pytest.mark.parametrize("mode", MODES)
