@@ -44,11 +44,12 @@ listed at ``GRADCHECK_CHUNK_BYTES`` (H=8 among them), and the sparse message
 sum adds each row's neighbours in the same order; so at those sizes every
 probe's loss is bitwise that of a single-graph pass. A probe skips the rounds
 its coordinate cannot change: every node starts at e1, so round 1 reads only
-column 0 of ``w_msg``, ``u_z``, ``u_r`` and ``u_c``, and a readout coordinate
-changes no round. Such a probe starts from the states the single-graph pass
-of the analytic gradient cached before its first round. Those states come
-from NT products, so they too leave each loss bitwise where NN and NT agree,
-and elsewhere may move it in the last bits.
+column 0 of ``w_msg``, ``u_z``, ``u_r`` and ``u_c`` and uses only column 0
+of the reset gate (row 0 of ``gru.w_r``, entry 0 of ``gru.b_r``), and a
+readout coordinate changes no round. Such a probe starts from the states the
+single-graph pass of the analytic gradient cached before its first round.
+Those states come from NT products, so they too leave each loss bitwise where
+NN and NT agree, and elsewhere may move it in the last bits.
 """
 
 from __future__ import annotations
@@ -929,16 +930,24 @@ def _first_rounds(hidden_size: int, rounds: int, mode: str) -> np.ndarray:
     that state, or ``r * state``, by ``w_msg``, ``u_z``, ``u_r`` and
     ``u_c``: column j > 0 of those meets a zero entry, and each ``0 * w`` it
     adds to a product changes no bit, so round 2 reads it first (the readout,
-    at T=1). Every other round coordinate is read in round 1. The map is
-    read-only.
+    at T=1). Row j > 0 of ``gru.w_r`` and entry j of ``gru.b_r`` set column
+    j of the reset gate r, which round 1 uses only in ``r * state``, against
+    the zero entry j of e1: r is a sigmoid, finite for finite inputs, so that
+    product is +0.0 whatever they hold, and round 2 reads them first too.
+    Every other round coordinate is read in round 1. The map is read-only.
     """
     h = hidden_size
     first = np.ones(param_count(h), dtype=np.intp)
-    later = np.arange(h * h) % h > 0  # columns 1..H-1 of a row-major matrix
+    second = min(2, rounds + 1)
+    later_columns = np.arange(h * h) % h > 0  # columns 1..H-1 of a row-major matrix
     read = f"readout_{mode}."
     for name, sl, _ in _layout(h):
         if name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c"):
-            first[sl][later] = min(2, rounds + 1)
+            first[sl][later_columns] = second
+        elif name == "gru.w_r":
+            first[sl][h:] = second  # rows 1..H-1
+        elif name == "gru.b_r":
+            first[sl][1:] = second
         elif name.startswith("readout"):
             first[sl] = rounds + 1 if name.startswith(read) else rounds + 2
     first.flags.writeable = False
@@ -1015,11 +1024,12 @@ def grad_check(
 
     A probe starts at the first round its coordinate can change
     (``_first_rounds``), from the states the analytic gradient's cached
-    pass reached before it: a coordinate of a round matrix's columns 1..H-1
-    that round 1 cannot read runs rounds 2..T, one of the mode's readout
-    only the readout, and the others every round. The coordinates of the
-    readout the mode does not read need no pass: both of their probe losses
-    are the unperturbed loss.
+    pass reached before it: a coordinate that round 1 cannot read (columns
+    1..H-1 of ``w_msg``, ``u_z``, ``u_r`` and ``u_c``, rows 1..H-1 of
+    ``gru.w_r`` and entries 1..H-1 of ``gru.b_r``) runs rounds 2..T, one of
+    the mode's readout only the readout, and the others every round. The
+    coordinates of the readout the mode does not read need no pass: both of
+    their probe losses are the unperturbed loss.
 
     The probes run in chunks of coordinates that share their first round.
     One block of at most GRADCHECK_CHUNK_BYTES holds the flat parameters

@@ -10,6 +10,12 @@ through exactly the arithmetic of solving it alone: a matrix's result is
 bitwise the same whatever else is in the stack, and equal to a scalar loop
 over the same rotations (tests/test_spectral.py keeps one as the reference).
 
+The solver reads the upper triangle of each matrix: its working copy mirrors
+that triangle into the lower one before either path runs, so every matrix is
+exactly symmetric and every rotation keeps it so. An input within
+SYMMETRY_TOL of symmetric but not exactly symmetric is solved as its mirrored
+upper triangle.
+
 The solver has two paths with that same arithmetic, entry for entry. While
 the unconverged matrices times n exceed SCALAR_MAX_ENTRIES (64), a sweep
 rotates the whole stack with numpy calls (_rotate). From the first sweep at
@@ -20,8 +26,16 @@ a matrix's values do not depend on its companions: the scalar finish applies
 the same pair order, rotation threshold, formulas (operands of a sum or a
 product may be swapped, which is exact), convergence sum in row order and
 sweep budget, so a matrix's bits do not depend on the sweep at which it
-changes paths. A stacked rotation costs 30-60 us of call overhead whatever
-the stack's size, against a few us for a small matrix in Python floats.
+changes paths.
+
+A stacked rotation is 33 numpy calls (40 with eigenvectors) on views and
+buffers that a sweep plan (_sweep_plan) builds once per stack layout: the
+rotation parameters of every matrix, then its two new rows, written back with
+one masked copy, and the two columns copied from those rows unmasked (a
+matrix that did not rotate is exactly symmetric, so its columns already equal
+its rows). That costs about 15 us per rotation for a stack of 100 matrices of
+n 11, almost all of it call overhead whatever the stack's size, against a few
+us for a small matrix in Python floats.
 
 The oracle solves graphs of different sizes in one stack, each Laplacian
 zero-padded to the stack's largest n (``graphs.laplacian_stack``), and a
@@ -69,10 +83,15 @@ ORACLE_CHUNK = 512
 # A sweep whose unconverged matrices times n come to at most this many entries
 # (the length of one row of the batch-last stack) finishes each of them alone
 # in Python floats (_finish_alone); there a stacked rotation is mostly numpy
-# call overhead. Full-solve time, Python floats over stacked, one core: one
-# matrix of n 4..40 0.1-0.25, n = 64 0.40; 6 of n 10 0.72, 4 of n 16 0.64,
-# 2 of n 32 0.54, 16 of n 4 1.00; past 64 entries the stack wins: 8 of n 10
-# 1.06, 6 of n 16 1.05, 3 of n 64 1.22.
+# call overhead. Full-solve time of paper-law Laplacians, Python floats over
+# stacked, one core, median of 5 stacks: one matrix of n 4..40 0.17-0.40,
+# n = 64 0.61; 5 of n 10 0.91, 3 of n 16 0.79, 3 of n 20 0.91, 2 of n 32
+# 0.89; 6 of n 10 1.08, 4 of n 16 1.09, 16 of n 4 1.40; past 64 entries the
+# stack wins: 8 of n 10 1.44, 4 of n 20 1.22, 3 of n 32 1.30, 3 of n 64 2.03.
+# The crossover lies between 50 and 70 entries, lower for smaller n;
+# this bound lies in that band, and it hands the paper law's stacks (padded
+# to n 11) to the scalar finish at the same five stragglers as any bound from
+# 55 to 65 would.
 SCALAR_MAX_ENTRIES = 64
 
 
@@ -90,6 +109,10 @@ def jacobi_eigensystem(
     A matrix is converged when the Frobenius norm of its off-diagonal part
     drops to ``off_tol``, and then leaves the stack; raises RuntimeError if
     any matrix exhausts ``max_sweeps``.
+
+    The solver reads the upper triangle: a matrix within SYMMETRY_TOL of
+    symmetric but not exactly symmetric gives the bits of its upper triangle
+    mirrored into the lower one.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -119,6 +142,10 @@ def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
     # vt[p] holds column p of every eigenvector matrix, so that a rotation
     # reads and writes contiguous rows.
     a = stack.transpose(1, 2, 0).copy()
+    # The solver reads the upper triangle: mirrored once here, every matrix
+    # is exactly symmetric, and every rotation keeps it so.
+    upper = np.triu_indices(n, 1)
+    a[upper[::-1]] = a[upper]
     vt = np.repeat(np.eye(n)[:, :, None], count, axis=2) if need_vectors else None
     diag = np.empty((count, n))
     vectors = np.empty((count, n, n)) if need_vectors else None
@@ -129,9 +156,9 @@ def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
     rotate_tol = off_tol / (2.0 * sizes * sizes)
     stalled = f"Jacobi iteration did not converge in {max_sweeps} sweeps"
 
-    sweeps = 0
+    sweeps, plan = 0, None
     while active.size * n > SCALAR_MAX_ENTRIES:
-        off = a[np.triu_indices(n, 1)]
+        off = a[upper]
         # cumsum adds the squares one after another in row order, as the
         # scalar method did; a pairwise sum would round differently.
         off_sq = np.cumsum(off * off, axis=0)[-1] if n > 1 else np.zeros(active.size)
@@ -145,13 +172,17 @@ def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
             keep = ~done
             active, a, rotate_tol = active[keep], a.compress(keep, axis=2), rotate_tol[keep]
             vt = vt.compress(keep, axis=2) if vt is not None else None
+            plan = None
         if active.size * n <= SCALAR_MAX_ENTRIES:
             break
         if sweeps == max_sweeps:
             raise RuntimeError(stalled)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, vt, p, q, rotate_tol)
+        if plan is None:
+            plan = _sweep_plan(a, vt)
+        pairs, work = plan
+        with np.errstate(all="ignore"):
+            for pair in pairs:
+                _rotate(pair, work, rotate_tol)
         sweeps += 1
 
     for j, b in enumerate(active.tolist()):
@@ -220,60 +251,97 @@ def _finish_alone(a, vt, rotate_tol: float, off_tol: float, sweeps: int) -> bool
     return False
 
 
-def _rotate(a, vt, p: int, q: int, rotate_tol) -> None:
-    """Apply the (p, q) rotation, in place, to every matrix whose |a[p, q]|
-    exceeds its entry of rotate_tol; the others stay bitwise unchanged."""
-    apq = a[p, q]
-    rotate = np.abs(apq) > rotate_tol
-    if not np.count_nonzero(rotate):
+def _sweep_plan(a, vt):
+    """The views and buffers that the rotations of one stack layout reuse:
+    for each pair (p, q) in row order, the views ``_rotate`` reads and writes
+    in the batch-last stack ``a`` and eigenvector columns ``vt`` (or None),
+    and one set of work buffers that every rotation overwrites. A plan holds
+    until the stack is compressed."""
+    n, _, count = a.shape
+    new = np.empty((2, n, count))
+    # new[0, q] and new[1, p] are entries q and n + p of the flat rows
+    flat = new.reshape(2 * n, count)
+    rows = list(a)
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    by_column = a.transpose(1, 0, 2)
+    v_rows = list(vt) if vt is not None else None
+    pairs = []
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            pq = slice(p, q + 1, q - p)
+            pairs.append((
+                rows[p][q], diagonal[p], diagonal[q], rows[p], rows[q], a[pq], by_column[pq],
+                flat[p], flat[n + q], flat[q : n + p + 1 : n + p - q],
+                None if vt is None else (v_rows[p], v_rows[q], vt[pq]),
+            ))
+    # ones and zeros as arrays: an operation on two arrays makes a shorter
+    # numpy call than one on an array and a Python float, with the same bits
+    work = (new, new[0], new[1], np.empty(count, dtype=bool), np.empty(count),
+            np.empty(count), np.empty(count), np.ones(count), np.zeros(count))
+    return pairs, work
+
+
+def _rotate(pair, work, rotate_tol) -> None:
+    """Apply a plan's (p, q) rotation (``_sweep_plan``), in place, to every
+    matrix whose |a[p, q]| exceeds its entry of rotate_tol; the others stay
+    bitwise unchanged. The stack must be exactly symmetric, and stays so.
+
+    Every lane computes the rotation parameters; a lane that does not rotate
+    may divide by zero or overflow there, and its values are never written,
+    so the caller runs this under ``np.errstate(all="ignore")``."""
+    apq, app, aqq, row_p, row_q, rows, cols, new_pp, new_qq, new_zeros, vectors = pair
+    new, new_p, new_q, rotate, theta, t, c, one, zero = work
+    np.greater(np.abs(apq, out=theta), rotate_tol, out=rotate)
+    count = np.count_nonzero(rotate)
+    if not count:
         return
-    app, aqq = a[p, p], a[q, q]
     # Each entry takes the operations of the textbook formulas in their order;
-    # only the operands of a sum or product are swapped, which is exact.
-    scale = np.where(rotate, apq, 1.0)
-    scale *= 2.0
-    theta = aqq - app
-    theta /= scale
-    t = theta * theta
-    t += 1.0
+    # only the operands of a sum or product are swapped, 2 apq is apq + apq,
+    # and t takes the sign of theta by copysign, all of which is exact.
+    np.add(apq, apq, out=theta)
+    np.subtract(aqq, app, out=t)
+    np.divide(t, theta, out=theta)
+    np.multiply(theta, theta, out=t)
+    t += one
     np.sqrt(t, out=t)
-    t += np.abs(theta, out=scale)
-    np.divide(1.0, t, out=t)
-    np.negative(t, out=t, where=theta < 0.0)
-    c = t * t
-    c += 1.0
+    t += np.abs(theta, out=c)
+    np.divide(one, t, out=t)
+    # as with "t = -t if theta < 0", t stays positive at theta = -0.0
+    np.copysign(t, np.add(theta, zero, out=c), out=t)
+    np.multiply(t, t, out=c)
+    c += one
     np.sqrt(c, out=c)
-    np.divide(1.0, c, out=c)
-    s = t * c
-    c += 1.0
+    np.divide(one, c, out=c)
+    s = np.multiply(t, c, out=theta)
+    c += one
     tau = np.divide(s, c, out=c)
     t_apq = np.multiply(t, apq, out=t)
 
-    # a[p:q + 1:q - p] views rows p and q; row p equals column p, so the
-    # rotated rows are also the new columns.
-    rows = a[p : q + 1 : q - p]
-    new = _rotated(rows, s, tau)
-    np.subtract(app, t_apq, out=new[0, p])
-    np.add(aqq, t_apq, out=new[1, q])
-    new[0, q] = 0.0
-    new[1, p] = 0.0
-    np.copyto(rows, new, where=rotate)
-    np.copyto(a[:, p : q + 1 : q - p], new.transpose(1, 0, 2), where=rotate)
-    if vt is not None:
-        rows = vt[p : q + 1 : q - p]
-        np.copyto(rows, _rotated(rows, s, tau), where=rotate)
+    _rotated(rows, row_p, row_q, s, tau, new, new_p, new_q)
+    np.subtract(app, t_apq, out=new_pp)
+    np.add(aqq, t_apq, out=new_qq)
+    new_zeros.fill(0.0)
+    every = count == rotate.size
+    mask = True if every else rotate
+    np.copyto(rows, new, where=mask)
+    # A matrix that did not rotate is exactly symmetric, so its columns p and
+    # q already equal its rows p and q, and the columns need no mask.
+    np.copyto(cols, new if every else rows)
+    if vectors is not None:
+        v_p, v_q, v_rows = vectors
+        _rotated(v_rows, v_p, v_q, s, tau, new, new_p, new_q)
+        np.copyto(v_rows, new, where=mask)
 
 
-def _rotated(rows, s, tau):
-    """The pair ``rows`` = (r_p, r_q) of a (p, q) rotation, rotated:
-    (r_p - s (r_q + tau r_p), r_q + s (r_p - tau r_q)), in a new array."""
-    new = rows * tau
-    new[0] += rows[1]
-    np.subtract(rows[0], new[1], out=new[1])
+def _rotated(rows, row_p, row_q, s, tau, new, new_p, new_q) -> None:
+    """Set ``new`` = (new_p, new_q) to the pair ``rows`` = (row_p, row_q) of a
+    (p, q) rotation, rotated: (r_p - s (r_q + tau r_p), r_q + s (r_p - tau r_q))."""
+    np.multiply(rows, tau, out=new)
+    new_p += row_q
+    np.subtract(row_p, new_q, out=new_q)
     new *= s
-    np.subtract(rows[0], new[0], out=new[0])
-    new[1] += rows[1]
-    return new
+    np.subtract(row_p, new_p, out=new_p)
+    new_q += row_q
 
 
 def algebraic_connectivities(arrays: GraphArrays) -> np.ndarray:

@@ -1464,11 +1464,11 @@ def test_probe_positions_map_the_transposed_round_matrices():
 
 
 @pytest.mark.parametrize("per_chunk, chunk_sizes",
-                         [(51, [51, 44, 20, 30]), (7, [7, 3, 4]), (1, [1])])
+                         [(51, [51, 32, 30]), (7, [7, 3, 4]), (1, [1])])
 def test_grad_check_fills_the_block_once_and_moves_one_coordinate_per_probe(
         per_chunk, chunk_sizes):
     """Local mode at H=8 probes 553 coordinates in three groups by first
-    round, 248 from round 1, 224 from round 2 and 81 readout coordinates,
+    round, 185 from round 1, 287 from round 2 and 81 readout coordinates,
     each chunked on its own: one block fill per check, one set of views per
     distinct chunk size, and every probe reads theta with only its own
     coordinate moved, so each chunk restored what the one before it
@@ -1508,10 +1508,11 @@ def test_grad_check_fills_the_block_once_and_moves_one_coordinate_per_probe(
 @pytest.mark.parametrize("mode", MODES)
 def test_grad_check_starts_each_probe_at_its_first_round(mode, rounds):
     """At H=8 the probes of the mode's readout run no round, those of
-    columns 1..H-1 of w_msg, u_z, u_r and u_c run T - 1 rounds (none at T=1),
-    and the rest all T, each from the single-graph pass's state before its
-    first round. The probe stack is built once per check, and the result is
-    the reference's."""
+    columns 1..H-1 of w_msg, u_z, u_r and u_c, rows 1..H-1 of gru.w_r and
+    entries 1..H-1 of gru.b_r run T - 1 rounds (none at T=1), and the rest
+    all T, each from the single-graph pass's state before its first round.
+    The probe stack is built once per check, and the result is the
+    reference's."""
     h = 8
     g = rand_graph(352, 5, 5)
     p = _perturbed_params(h, seed=952)
@@ -1519,12 +1520,13 @@ def test_grad_check_starts_each_probe_at_its_first_round(mode, rounds):
     _, cache = forward(p, g, rounds, mode)
     want = {}
     for name, sl, _ in model._layout(h):
-        column = np.arange(sl.stop - sl.start) % h
-        for coord, j in zip(range(sl.start, sl.stop), column):
+        entries = np.arange(sl.stop - sl.start)
+        for coord, k in zip(range(sl.start, sl.stop), entries):
             if name.startswith(f"readout_{mode}."):
                 want[coord] = 0
             elif not name.startswith("readout"):
-                late = name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c") and j > 0
+                late = ((name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c") and k % h > 0)
+                        or (name == "gru.w_r" and k // h > 0) or (name == "gru.b_r" and k > 0))
                 want[coord] = rounds - 1 if late else rounds
     ran = {}
     real = model._probe_losses
@@ -1549,8 +1551,9 @@ def test_first_rounds_leave_the_states_before_them_unchanged(h):
     """The reach map alone: a coordinate the map starts at round s, moved by
     +-epsilon, leaves every state a single-graph pass caches before round s
     bitwise unchanged, at T 1..3 in both modes. Each column 1..H-1 of w_msg,
-    u_z, u_r and u_c is moved in one row, so any initial state but e1 makes
-    a round-1 state move."""
+    u_z, u_r and u_c is moved in one row, each row 1..H-1 of gru.w_r in one
+    column and each entry 1..H-1 of gru.b_r, so any initial state but e1
+    makes a round-1 state move."""
     g = rand_graph(h, 5, 5)
     stack = build_stack(GraphArrays.of([g]))
     theta = flatten_params(_perturbed_params(h, seed=h))
@@ -1559,6 +1562,8 @@ def test_first_rounds_leave_the_states_before_them_unchanged(h):
     sampled = [starts[name] + rng.integers(h) * h + j
                for name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c") for j in range(1, h)]
     sampled += rng.choice(theta.size, size=min(20, theta.size), replace=False).tolist()
+    sampled += [starts["gru.w_r"] + i * h + rng.integers(h) for i in range(1, h)]
+    sampled += [starts["gru.b_r"] + i for i in range(1, h)]
 
     def states(vec, rounds, mode):
         _, cache = forward_stack(param_views(vec, h), stack, rounds, mode)
@@ -1567,7 +1572,7 @@ def test_first_rounds_leave_the_states_before_them_unchanged(h):
     for rounds, mode in itertools.product((1, 2, 3), MODES):
         first = model._first_rounds(h, rounds, mode)
         assert not first.flags.writeable
-        readout, late = h * h + 2 * h + 1, 4 * h * (h - 1)
+        readout, late = h * h + 2 * h + 1, (4 * h + h + 1) * (h - 1)
         counts = np.zeros(rounds + 3, dtype=int)
         np.add.at(counts, [1, min(2, rounds + 1), rounds + 1, rounds + 2],
                   [theta.size - late - 2 * readout, late, readout, readout])

@@ -242,6 +242,58 @@ def test_both_paths_are_bitwise_equal_to_scalar_reference(monkeypatch, entries):
             jacobi_eigensystem(mats, max_sweeps=1)
 
 
+def test_solver_reads_the_upper_triangle(monkeypatch):
+    """A matrix symmetric within SYMMETRY_TOL but not exactly gives the bits
+    of its upper triangle mirrored, alone on either path and in a stack of
+    copies. Row 0 is zero off the diagonal, so no rotation writes column 0
+    and a solver that read the lower triangle would meet its 5e-13 entries."""
+    raw = np.random.default_rng(77).normal(size=(6, 6))
+    raw[0, 1:] = 0.0
+    mirrored = np.where(np.triu(np.ones((6, 6), dtype=bool)), raw, raw.T)
+    near = mirrored.copy()
+    near[np.tril_indices(6, -1)] += 5e-13
+    assert 0.0 < np.abs(near - near.T).max() <= spectral.SYMMETRY_TOL
+    copies = np.stack([near] * (spectral.SCALAR_MAX_ENTRIES // 6 + 1))
+    for entries, mats in [(ALL_SCALAR, near[None]), (ALL_STACKED, near[None]),
+                          (spectral.SCALAR_MAX_ENTRIES, copies)]:
+        monkeypatch.setattr(spectral, "SCALAR_MAX_ENTRIES", entries)
+        evs, vecs = jacobi_eigensystem(mats, need_vectors=True)
+        for ev, vec in zip(evs, vecs):
+            _assert_matches_reference(ev, vec, mirrored)
+
+
+def test_solver_keeps_its_floating_point_state_to_itself():
+    """Stacked rotations compute parameters in every lane, and a lane that
+    does not rotate divides by zero there: under the caller's
+    ``errstate(all="raise")`` a padded stack with edgeless graphs and a stack
+    whose matrices skip pairs neither raise nor warn, and the caller's state
+    holds afterwards."""
+    graphs = [Graph(7, []), path_graph(3), cycle_graph(12), Graph(3, [])] + _mixed_graphs()[2:30:3]
+    raw = np.random.default_rng(78).normal(size=(16, 8, 8))
+    stack = (raw + raw.transpose(0, 2, 1)) / 2.0
+    stack[::2, 1, 5] = stack[::2, 5, 1] = 0.0
+    stack[1::3, 2, :] = stack[1::3, :, 2] = 0.0
+    sat_out = []
+    rotate = spectral._rotate
+
+    def counting(pair, work, rotate_tol):
+        rotating = np.count_nonzero(np.abs(pair[0]) > rotate_tol)
+        sat_out.append(0 < rotating < rotate_tol.size)
+        return rotate(pair, work, rotate_tol)
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
+        mp.setattr(spectral, "_rotate", counting)
+        labels = algebraic_connectivities(GraphArrays.of(graphs))
+        assert any(sat_out)  # a stacked rotation in which some matrices sat out
+        sat_out.clear()
+        evs, vecs = jacobi_eigensystem(stack, need_vectors=True)
+        assert any(sat_out)
+        assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+    assert _hex(labels) == _hex(algebraic_connectivity(g) for g in graphs)
+    for mat, ev, vec in zip(stack, evs, vecs):
+        _assert_matches_reference(ev, vec, mat)
+
+
 def test_paths_switch_mid_solve_without_changing_a_bit(monkeypatch):
     """A stack that starts stacked and drops under SCALAR_MAX_ENTRIES as its
     matrices converge gives the bits of either path run throughout, and
@@ -289,9 +341,9 @@ def _count_rotations(monkeypatch):
     calls = []
     rotate = spectral._rotate
 
-    def counting(*args):
-        calls.append(args[2:4])
-        return rotate(*args)
+    def counting(pair, work, rotate_tol):
+        calls.append(pair)
+        return rotate(pair, work, rotate_tol)
 
     monkeypatch.setattr(spectral, "_rotate", counting)
     return calls
