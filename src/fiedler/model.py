@@ -939,11 +939,11 @@ def _first_rounds(hidden_size: int, rounds: int, mode: str) -> np.ndarray:
     h = hidden_size
     first = np.ones(param_count(h), dtype=np.intp)
     second = min(2, rounds + 1)
-    later_columns = np.arange(h * h) % h > 0  # columns 1..H-1 of a row-major matrix
+    later = np.arange(h * h) % h > 0  # columns 1..H-1 of a row-major matrix
     read = f"readout_{mode}."
     for name, sl, _ in _layout(h):
         if name in ("w_msg", "gru.u_z", "gru.u_r", "gru.u_c"):
-            first[sl][later_columns] = second
+            first[sl][later] = second
         elif name == "gru.w_r":
             first[sl][h:] = second  # rows 1..H-1
         elif name == "gru.b_r":

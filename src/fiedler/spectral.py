@@ -259,8 +259,7 @@ def _sweep_plan(a, vt):
     until the stack is compressed."""
     n, _, count = a.shape
     new = np.empty((2, n, count))
-    # new[0, q] and new[1, p] are entries q and n + p of the flat rows
-    flat = new.reshape(2 * n, count)
+    flat = new.reshape(2 * n, count)  # new[0, q] and new[1, p] are rows q and n + p
     rows = list(a)
     diagonal = [row[i] for i, row in enumerate(rows)]
     by_column = a.transpose(1, 0, 2)
@@ -271,7 +270,7 @@ def _sweep_plan(a, vt):
             pq = slice(p, q + 1, q - p)
             pairs.append((
                 rows[p][q], diagonal[p], diagonal[q], rows[p], rows[q], a[pq], by_column[pq],
-                flat[p], flat[n + q], flat[q : n + p + 1 : n + p - q],
+                new[0, p], new[1, q], flat[q : n + p + 1 : n + p - q],
                 None if vt is None else (v_rows[p], v_rows[q], vt[pq]),
             ))
     # ones and zeros as arrays: an operation on two arrays makes a shorter

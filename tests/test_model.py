@@ -1520,8 +1520,7 @@ def test_grad_check_starts_each_probe_at_its_first_round(mode, rounds):
     _, cache = forward(p, g, rounds, mode)
     want = {}
     for name, sl, _ in model._layout(h):
-        entries = np.arange(sl.stop - sl.start)
-        for coord, k in zip(range(sl.start, sl.stop), entries):
+        for k, coord in enumerate(range(sl.start, sl.stop)):
             if name.startswith(f"readout_{mode}."):
                 want[coord] = 0
             elif not name.startswith("readout"):
@@ -1572,7 +1571,7 @@ def test_first_rounds_leave_the_states_before_them_unchanged(h):
     for rounds, mode in itertools.product((1, 2, 3), MODES):
         first = model._first_rounds(h, rounds, mode)
         assert not first.flags.writeable
-        readout, late = h * h + 2 * h + 1, (4 * h + h + 1) * (h - 1)
+        readout, late = h * h + 2 * h + 1, 4 * h * (h - 1) + h * (h - 1) + (h - 1)
         counts = np.zeros(rounds + 3, dtype=int)
         np.add.at(counts, [1, min(2, rounds + 1), rounds + 1, rounds + 2],
                   [theta.size - late - 2 * readout, late, readout, readout])
