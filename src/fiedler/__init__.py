@@ -57,6 +57,5 @@ from .simulation import (
     Agent,
     NodeEstimateReport,
     RoundTrace,
-    node_estimate_report,
     run_simulation,
 )

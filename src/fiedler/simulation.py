@@ -135,9 +135,3 @@ class NodeEstimateReport:
         for v, (est, err) in enumerate(zip(self.estimates, self.errors)):
             lines.append(f"{v},{est:.17g},{err:.17g}")
         return "\n".join(lines) + "\n"
-
-
-def node_estimate_report(params: ModelParams, g: Graph, rounds: int) -> NodeEstimateReport:
-    """Run the distributed estimator and compare each agent to the oracle."""
-    estimates, _ = run_simulation(params, g, rounds)
-    return NodeEstimateReport.from_estimates(g, estimates)

@@ -1,9 +1,10 @@
-"""Exact dense symmetric eigensolver and the algebraic-connectivity oracle.
+"""The algebraic-connectivity oracle: exact eigenvalues of symmetric matrices.
 
-The solver is the cyclic Jacobi method in row-by-row pair order (Golub &
-Van Loan, *Matrix Computations*, section 8.5), applied to a whole ``(B, n, n)``
-stack of matrices at once: each rotation is a few elementwise updates of two
-rows (and, by symmetry, the same two columns) of every matrix in the stack.
+The solver computes eigenvalues only, all that the oracle needs, by the
+cyclic Jacobi method in row-by-row pair order (Golub & Van Loan, *Matrix
+Computations*, section 8.5), applied to a whole ``(B, n, n)`` stack of
+matrices at once: each rotation is a few elementwise updates of two rows
+(and, by symmetry, the same two columns) of every matrix in the stack.
 No operation mixes two matrices, and a matrix whose pair falls under its
 rotation threshold is left untouched while others rotate, so each matrix goes
 through exactly the arithmetic of solving it alone: a matrix's result is
@@ -28,12 +29,11 @@ product may be swapped, which is exact), convergence sum in row order and
 sweep budget, so a matrix's bits do not depend on the sweep at which it
 changes paths.
 
-A stacked rotation is 33 numpy calls (40 with eigenvectors) on views and
-buffers that a sweep plan (_sweep_plan) builds once per stack layout: the
-rotation parameters of every matrix, then its two new rows, written back with
-one masked copy, and the two columns copied from those rows unmasked (a
-matrix that did not rotate is exactly symmetric, so its columns already equal
-its rows). That costs about 15 us per rotation for a stack of 100 matrices of
+A stacked rotation is 33 numpy calls on views and buffers that a sweep plan
+(_sweep_plan) builds once per stack layout: the rotation parameters of every
+matrix, then its two new rows, written back with one masked copy, and the two
+columns copied from those rows unmasked (a matrix that did not rotate is
+exactly symmetric, so its columns already equal its rows). That costs about 15 us per rotation for a stack of 100 matrices of
 n 11, almost all of it call overhead whatever the stack's size, against a few
 us for a small matrix in Python floats.
 
@@ -95,24 +95,19 @@ ORACLE_CHUNK = 512
 SCALAR_MAX_ENTRIES = 64
 
 
-def jacobi_eigensystem(
-    matrix,
-    need_vectors: bool = False,
-    off_tol: float = OFF_DIAGONAL_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-):
+def jacobi_eigensystem(matrix) -> np.ndarray:
     """Eigenvalues (ascending) of a symmetric matrix, or of each matrix of a
     ``(B, n, n)`` stack, by cyclic Jacobi rotations.
 
-    Returns (eigenvalues, eigenvectors) where eigenvectors has the eigenvector
-    for eigenvalues[..., k] in column k, or None unless ``need_vectors``.
     A matrix is converged when the Frobenius norm of its off-diagonal part
-    drops to ``off_tol``, and then leaves the stack; raises RuntimeError if
-    any matrix exhausts ``max_sweeps``.
+    drops to OFF_DIAGONAL_TOL, and then leaves the stack; raises RuntimeError
+    if any matrix is still unconverged after MAX_SWEEPS sweeps. Both are read
+    at call time.
 
     The solver reads the upper triangle: a matrix within SYMMETRY_TOL of
     symmetric but not exactly symmetric gives the bits of its upper triangle
-    mirrored into the lower one.
+    mirrored into the lower one. A matrix with a NaN or infinite entry is
+    rejected.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -120,40 +115,40 @@ def jacobi_eigensystem(
     n = m.shape[-1]
     if n == 0:
         raise ValueError("matrix must be non-empty")
-    if not off_tol >= 0.0:
-        raise ValueError(f"off_tol must be >= 0, got {off_tol}")
     stack = m.reshape(-1, n, n)
+
+    def reject(bad, why):
+        if np.any(bad):
+            where = "" if m.ndim == 2 else f" {int(np.argmax(bad))}"
+            raise ValueError(f"matrix{where} {why}")
+
+    # checked first: the symmetry check would subtract infinities
+    reject(~np.isfinite(stack).all(axis=(1, 2)), "has a non-finite entry")
     asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    if np.any(asym > SYMMETRY_TOL):
-        where = "" if m.ndim == 2 else f" {int(np.argmax(asym > SYMMETRY_TOL))}"
-        raise ValueError(f"matrix{where} is not symmetric within 1e-12")
-    eigenvalues, vectors = _solve(stack, np.full(len(stack), n), need_vectors, off_tol, max_sweeps)
-    if m.ndim == 2:
-        return eigenvalues[0], None if vectors is None else vectors[0]
-    return eigenvalues, vectors
+    reject(asym > SYMMETRY_TOL, "is not symmetric within 1e-12")
+    eigenvalues = _solve(stack, np.full(len(stack), n))
+    return eigenvalues[0] if m.ndim == 2 else eigenvalues
 
 
-def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
+def _solve(stack, sizes) -> np.ndarray:
     """Cyclic Jacobi on a ``(B, n, n)`` stack whose matrix b is its leading
-    ``sizes[b]``-square block, zero-padded. Row b of the eigenvalues holds
-    that block's eigenvalues ascending, then +inf in each padded slot."""
+    ``sizes[b]``-square block, zero-padded. Row b of the result holds that
+    block's eigenvalues ascending, then +inf in each padded slot."""
     count, n = stack.shape[:2]
-    # Batch-last layout: a[i, k] holds entry (i, k) of every active matrix and
-    # vt[p] holds column p of every eigenvector matrix, so that a rotation
-    # reads and writes contiguous rows.
+    # Batch-last layout: a[i, k] holds entry (i, k) of every active matrix, so
+    # that a rotation reads and writes contiguous rows.
     a = stack.transpose(1, 2, 0).copy()
     # The solver reads the upper triangle: mirrored once here, every matrix
     # is exactly symmetric, and every rotation keeps it so.
     upper = np.triu_indices(n, 1)
     a[upper[::-1]] = a[upper]
-    vt = np.repeat(np.eye(n)[:, :, None], count, axis=2) if need_vectors else None
     diag = np.empty((count, n))
-    vectors = np.empty((count, n, n)) if need_vectors else None
     active = np.arange(count)
     diagonal = np.arange(n)
-    # Once every pair of a matrix falls below this, its off-diagonal Frobenius
-    # norm is guaranteed under off_tol, so a skip-only sweep cannot stall.
-    rotate_tol = off_tol / (2.0 * sizes * sizes)
+    max_sweeps = MAX_SWEEPS
+    # Once every pair of a matrix falls below this, its off-diagonal norm is
+    # guaranteed under OFF_DIAGONAL_TOL, so a skip-only sweep cannot stall.
+    rotate_tol = OFF_DIAGONAL_TOL / (2.0 * sizes * sizes)
     stalled = f"Jacobi iteration did not converge in {max_sweeps} sweeps"
 
     sweeps, plan = 0, None
@@ -162,23 +157,20 @@ def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
         # cumsum adds the squares one after another in row order, as the
         # scalar method did; a pairwise sum would round differently.
         off_sq = np.cumsum(off * off, axis=0)[-1] if n > 1 else np.zeros(active.size)
-        done = np.sqrt(2.0 * off_sq) <= off_tol
+        done = np.sqrt(2.0 * off_sq) <= OFF_DIAGONAL_TOL
         if np.count_nonzero(done):
             diag[active[done]] = a[diagonal, diagonal][:, done].T
-            if vt is not None:
-                vectors[active[done]] = vt[:, :, done].transpose(2, 1, 0)
             # compress keeps the batch axis last in memory; a[:, :, keep]
             # would move it first and make every row a strided gather
             keep = ~done
             active, a, rotate_tol = active[keep], a.compress(keep, axis=2), rotate_tol[keep]
-            vt = vt.compress(keep, axis=2) if vt is not None else None
             plan = None
         if active.size * n <= SCALAR_MAX_ENTRIES:
             break
         if sweeps == max_sweeps:
             raise RuntimeError(stalled)
         if plan is None:
-            plan = _sweep_plan(a, vt)
+            plan = _sweep_plan(a)
         pairs, work = plan
         with np.errstate(all="ignore"):
             for pair in pairs:
@@ -190,35 +182,26 @@ def _solve(stack, sizes, need_vectors: bool, off_tol: float, max_sweeps: int):
         # goes through the same arithmetic alone.
         size = int(sizes[b])
         rows = a[:size, :size, j].tolist()
-        cols = vt[:size, :size, j].tolist() if vt is not None else None
-        if not _finish_alone(rows, cols, float(rotate_tol[j]), off_tol, max_sweeps - sweeps):
+        if not _finish_alone(rows, float(rotate_tol[j]), max_sweeps - sweeps):
             raise RuntimeError(stalled)
         diag[b, :size] = [rows[i][i] for i in range(size)]
-        if vt is not None:
-            vectors[b] = vt[:, :, j].T
-            vectors[b, :size, :size] = np.array(cols).T
 
     diag[diagonal >= sizes[:, None]] = np.inf
-    order = np.argsort(diag, axis=1, kind="stable")
-    eigenvalues = np.take_along_axis(diag, order, axis=1)
-    if vectors is not None:
-        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
-    return eigenvalues, vectors
+    return np.sort(diag, axis=1, kind="stable")
 
 
-def _finish_alone(a, vt, rotate_tol: float, off_tol: float, sweeps: int) -> bool:
+def _finish_alone(a, rotate_tol: float, sweeps: int) -> bool:
     """Cyclic Jacobi on one matrix held as lists of Python floats, with at
     most ``sweeps`` more sweeps: entry for entry the arithmetic that _solve and
-    _rotate apply to it in a stack. ``a`` holds the matrix's rows and ``vt``
-    the eigenvector matrix's columns (or is None); both are updated in place.
-    Returns whether the matrix converged."""
+    _rotate apply to it in a stack. ``a`` holds the matrix's rows and is
+    updated in place. Returns whether the matrix converged."""
     n = len(a)
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for _ in range(sweeps + 1):
         off_sq = 0.0
         for p, q in pairs:
             off_sq += a[p][q] * a[p][q]
-        if math.sqrt(2.0 * off_sq) <= off_tol:
+        if math.sqrt(2.0 * off_sq) <= OFF_DIAGONAL_TOL:
             return True
         for p, q in pairs:
             rp, rq = a[p], a[q]
@@ -244,26 +227,20 @@ def _finish_alone(a, vt, rotate_tol: float, off_tol: float, sweeps: int) -> bool
             for row, x, y in zip(a, new_p, new_q):
                 row[p] = x
                 row[q] = y
-            if vt is not None:
-                vp, vq = vt[p], vt[q]
-                vt[p] = [x - s * (y + tau * x) for x, y in zip(vp, vq)]
-                vt[q] = [y + s * (x - tau * y) for x, y in zip(vp, vq)]
     return False
 
 
-def _sweep_plan(a, vt):
+def _sweep_plan(a):
     """The views and buffers that the rotations of one stack layout reuse:
     for each pair (p, q) in row order, the views ``_rotate`` reads and writes
-    in the batch-last stack ``a`` and eigenvector columns ``vt`` (or None),
-    and one set of work buffers that every rotation overwrites. A plan holds
-    until the stack is compressed."""
+    in the batch-last stack ``a``, and one set of work buffers that every
+    rotation overwrites. A plan holds until the stack is compressed."""
     n, _, count = a.shape
     new = np.empty((2, n, count))
     flat = new.reshape(2 * n, count)  # new[0, q] and new[1, p] are rows q and n + p
     rows = list(a)
     diagonal = [row[i] for i, row in enumerate(rows)]
     by_column = a.transpose(1, 0, 2)
-    v_rows = list(vt) if vt is not None else None
     pairs = []
     for p in range(n - 1):
         for q in range(p + 1, n):
@@ -271,7 +248,6 @@ def _sweep_plan(a, vt):
             pairs.append((
                 rows[p][q], diagonal[p], diagonal[q], rows[p], rows[q], a[pq], by_column[pq],
                 new[0, p], new[1, q], flat[q : n + p + 1 : n + p - q],
-                None if vt is None else (v_rows[p], v_rows[q], vt[pq]),
             ))
     # ones and zeros as arrays: an operation on two arrays makes a shorter
     # numpy call than one on an array and a Python float, with the same bits
@@ -288,7 +264,7 @@ def _rotate(pair, work, rotate_tol) -> None:
     Every lane computes the rotation parameters; a lane that does not rotate
     may divide by zero or overflow there, and its values are never written,
     so the caller runs this under ``np.errstate(all="ignore")``."""
-    apq, app, aqq, row_p, row_q, rows, cols, new_pp, new_qq, new_zeros, vectors = pair
+    apq, app, aqq, row_p, row_q, rows, cols, new_pp, new_qq, new_zeros = pair
     new, new_p, new_q, rotate, theta, t, c, one, zero = work
     np.greater(np.abs(apq, out=theta), rotate_tol, out=rotate)
     count = np.count_nonzero(rotate)
@@ -316,31 +292,21 @@ def _rotate(pair, work, rotate_tol) -> None:
     tau = np.divide(s, c, out=c)
     t_apq = np.multiply(t, apq, out=t)
 
-    _rotated(rows, row_p, row_q, s, tau, new, new_p, new_q)
-    np.subtract(app, t_apq, out=new_pp)
-    np.add(aqq, t_apq, out=new_qq)
-    new_zeros.fill(0.0)
-    every = count == rotate.size
-    mask = True if every else rotate
-    np.copyto(rows, new, where=mask)
-    # A matrix that did not rotate is exactly symmetric, so its columns p and
-    # q already equal its rows p and q, and the columns need no mask.
-    np.copyto(cols, new if every else rows)
-    if vectors is not None:
-        v_p, v_q, v_rows = vectors
-        _rotated(v_rows, v_p, v_q, s, tau, new, new_p, new_q)
-        np.copyto(v_rows, new, where=mask)
-
-
-def _rotated(rows, row_p, row_q, s, tau, new, new_p, new_q) -> None:
-    """Set ``new`` = (new_p, new_q) to the pair ``rows`` = (row_p, row_q) of a
-    (p, q) rotation, rotated: (r_p - s (r_q + tau r_p), r_q + s (r_p - tau r_q))."""
+    # new = (new_p, new_q) = (r_p - s (r_q + tau r_p), r_q + s (r_p - tau r_q))
     np.multiply(rows, tau, out=new)
     new_p += row_q
     np.subtract(row_p, new_q, out=new_q)
     new *= s
     np.subtract(row_p, new_p, out=new_p)
     new_q += row_q
+    np.subtract(app, t_apq, out=new_pp)
+    np.add(aqq, t_apq, out=new_qq)
+    new_zeros.fill(0.0)
+    every = count == rotate.size
+    np.copyto(rows, new, where=True if every else rotate)
+    # A matrix that did not rotate is exactly symmetric, so its columns p and
+    # q already equal its rows p and q, and the columns need no mask.
+    np.copyto(cols, new if every else rows)
 
 
 def algebraic_connectivities(arrays: GraphArrays) -> np.ndarray:
@@ -370,12 +336,10 @@ def algebraic_connectivities(arrays: GraphArrays) -> np.ndarray:
         if stop > start:
             chunk = order[start:stop]
             lap = laplacian_stack(arrays.take(chunk))
-            ev, _ = _solve(lap, sizes[chunk], False, OFF_DIAGONAL_TOL, MAX_SWEEPS)
-            labels[chunk] = ev[:, 1]
+            labels[chunk] = _solve(lap, sizes[chunk])[:, 1]
     return labels
 
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff g is connected."""
-    ev, _ = _solve(laplacian(g)[None], np.array([g.n]), False, OFF_DIAGONAL_TOL, MAX_SWEEPS)
-    return float(ev[0, 1])
+    return float(_solve(laplacian(g)[None], np.array([g.n]))[0, 1])

@@ -4,7 +4,7 @@ import pytest
 from conftest import complete_graph, path_graph
 from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph
 from fiedler.model import forward, init_params
-from fiedler.simulation import node_estimate_report, run_simulation
+from fiedler.simulation import NodeEstimateReport, run_simulation
 from fiedler.spectral import algebraic_connectivity
 
 
@@ -96,7 +96,7 @@ def test_estimate_depends_only_on_radius_T_ball():
 def test_node_estimate_report_contents():
     params = init_params(8, seed=10)
     g = rand_graph(714, n_lo=8, n_hi=8)
-    report = node_estimate_report(params, g, 8)
+    report = NodeEstimateReport.from_estimates(g, run_simulation(params, g, 8)[0])
     assert report.true_lambda2 == pytest.approx(algebraic_connectivity(g), abs=1e-12)
     assert report.estimates.shape == (8,)
     assert np.array_equal(report.errors, np.abs(report.estimates - report.true_lambda2))
