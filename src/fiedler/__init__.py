@@ -18,7 +18,6 @@ from .graphs import (
     generate_graph_arrays,
     is_connected,
     laplacian,
-    permute,
 )
 from .spectral import algebraic_connectivities, algebraic_connectivity, jacobi_eigensystem
 from .model import (

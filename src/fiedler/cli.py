@@ -408,10 +408,7 @@ def _cmd_simulate(args) -> int:
         if (min(i, j), max(i, j)) not in g.edges:
             raise UsageError(f"--drop-edges: {i}-{j} is not an edge of the simulated graph")
     drop_from = 1 if args.drop_from is None else args.drop_from
-    try:
-        estimates, trace = run_simulation(params, g, rounds, dropped, drop_from)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    estimates, trace = run_simulation(params, g, rounds, dropped, drop_from)
     report = NodeEstimateReport.from_estimates(g, estimates)
     for line in report.text_lines():
         print(line)

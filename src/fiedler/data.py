@@ -50,9 +50,8 @@ class Dataset:
     labels, one float64 per graph.
 
     ``Dataset(items=pairs)`` builds one from ``(Graph, label)`` pairs, and
-    ``items``, ``graphs()`` and ``labels()`` give them back, built on demand:
-    views for callers that hold graphs one at a time. The pipeline itself
-    reads only the arrays.
+    ``items`` gives them back, built on demand: a view for callers that hold
+    graphs one at a time. The pipeline itself reads only the arrays.
     """
 
     def __init__(self, arrays: GraphArrays | None = None, lambda2=(), *, items=None):
@@ -69,14 +68,8 @@ class Dataset:
         return len(self.arrays)
 
     @property
-    def items(self) -> list:
-        return list(zip(self.graphs(), self.labels()))
-
-    def graphs(self) -> list[Graph]:
-        return [self.arrays.graph(b) for b in range(len(self))]
-
-    def labels(self) -> list[float]:
-        return self.lambda2.tolist()
+    def items(self) -> list[tuple[Graph, float]]:
+        return [(self.arrays.graph(b), label) for b, label in enumerate(self.lambda2.tolist())]
 
 
 def generate_dataset(cfg: GraphGenConfig, count: int) -> Dataset:

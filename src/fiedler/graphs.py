@@ -262,10 +262,3 @@ def laplacian_stack(arrays: GraphArrays) -> np.ndarray:
     diagonal = np.arange(n)
     lap[:, diagonal, diagonal] -= lap.sum(axis=2)
     return lap
-
-def permute(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel nodes: edge {i, j} becomes {perm[i], perm[j]}."""
-    p = [int(x) for x in perm]
-    if sorted(p) != list(range(g.n)):
-        raise ValueError(f"perm must be a bijection of 0..{g.n - 1}")
-    return Graph(g.n, [(p[i], p[j]) for i, j in g.edges])

@@ -984,19 +984,18 @@ def _probe_losses(
     round matrices give the bits of the NT ones (``GRADCHECK_CHUNK_BYTES``)
     and ``start`` holds the states a single-graph pass with probe k's
     parameters reaches before those rounds, every loss is bitwise the one
-    that pass gives.
+    that pass gives. Overflow warnings are the caller's to silence.
     """
     k, h = probe.w_msg.shape[0], probe.hidden_size
     x = np.empty((k, *start.shape))
     x[...] = start
     scratch = np.empty(x.shape)
     z, r, c, rs, spare = np.empty((5, *x.shape))
-    with np.errstate(over="ignore"):
-        for _ in range(rounds):
-            np.matmul(x, _t(probe.w_msg), out=scratch)
-            m = (stack.adjacency @ scratch.reshape(-1, h)).reshape(x.shape)
-            _gru_step(probe.gru, x, m, spare, z, r, c, rs, scratch)
-            x, spare = spare, x
+    for _ in range(rounds):
+        np.matmul(x, _t(probe.w_msg), out=scratch)
+        m = (stack.adjacency @ scratch.reshape(-1, h)).reshape(x.shape)
+        _gru_step(probe.gru, x, m, spare, z, r, c, rs, scratch)
+        x, spare = spare, x
     if mode == "local":
         estimates, _, _ = _readout_rows(probe.readout_local, x)
     else:
@@ -1011,16 +1010,13 @@ def grad_check(
     rounds: int,
     mode: str,
     epsilon: float = 1e-5,
-    target: float | None = None,
-    sample: int | None = None,
-    sample_seed: int = 0,
     corrupt: bool = False,
 ) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
+    """Max relative error between reverse-mode and central-difference gradients
+    of the loss against the oracle's label of ``g``, over every coordinate.
 
-    Checks every coordinate by default; ``sample`` limits the check to a seeded
-    random subset (never fewer than 500 coordinates). ``corrupt`` deliberately
-    damages one analytic gradient entry, for validating the detector itself.
+    ``corrupt`` deliberately damages one analytic gradient entry, for
+    validating the detector itself.
 
     A probe starts at the first round its coordinate can change
     (``_first_rounds``), from the states the analytic gradient's cached
@@ -1044,42 +1040,36 @@ def grad_check(
     each loss, and so the result, is bitwise the one of a separate
     single-graph pass per probe; elsewhere it may differ in the last bits,
     as the cached states come from NT products and the probe rounds from
-    NN ones. ``params`` itself is never written. Returns NaN when one
+    NN ones. ``params`` itself is never written. Each coordinate's error
+    goes into one array of them, and the chunks are cut as they run, so
+    memory does not grow with the number of chunks. Returns NaN when one
     coordinate's error is NaN (say, from a non-finite loss): such a check
-    measured nothing and must not pass.
+    measured nothing and must not pass. The probe losses and differences
+    run with overflow and invalid-operation warnings off, as that NaN is
+    the report.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
     _check_mode(mode)
-    if target is None:
-        target = algebraic_connectivity(g)
+    target = float(algebraic_connectivity(g))
 
     one = GraphArrays.of([g])
     stack = build_stack(one)
     _, cache = forward_stack(params, stack, rounds, mode, want_cache=True)
-    loss, analytic = backward_stack(params, cache, np.array([float(target)]))
+    loss, analytic = backward_stack(params, cache, np.array([target]))
     theta = flatten_params(params)
-    total = theta.size
-    if sample is None or max(sample, 500) >= total:
-        coords = np.arange(total)
-    else:
-        rng = np.random.default_rng(sample_seed)
-        coords = np.sort(rng.choice(total, size=max(sample, 500), replace=False))
     if corrupt:
-        analytic[coords[0]] += 1.0
+        analytic[0] += 1.0
+    rel = np.zeros(theta.size)
 
-    def rel_errors(idx, numeric):
+    def score(idx, numeric) -> bool:
+        """Write the errors of coordinates ``idx``; True if one is NaN."""
         a = analytic[idx]
-        return np.abs(a - numeric) / np.maximum(1e-8, np.abs(a) + np.abs(numeric))
+        rel[idx] = np.abs(a - numeric) / np.maximum(1e-8, np.abs(a) + np.abs(numeric))
+        return bool(np.isnan(rel[idx]).any())
 
-    first = _first_rounds(params.hidden_size, rounds, mode)[coords]
-    # Moving a coordinate of the readout the mode never reads leaves both
-    # probe losses at the unperturbed loss, so its central difference is
-    # (loss - loss) / (2 epsilon) without a forward pass.
-    idle = coords[first > rounds + 1]
-    rels = [rel_errors(idle, np.full(idle.size, (loss - loss) / (2.0 * epsilon)))]
-
-    groups = [(s, coords[first == s]) for s in range(1, rounds + 2)]
+    first = _first_rounds(params.hidden_size, rounds, mode)
+    groups = [(s, np.flatnonzero(first == s)) for s in range(1, rounds + 2)]
     budget = GRADCHECK_CHUNK_BYTES // (2 * theta.nbytes)
     per_chunk = max(1, min(budget, max(idx.size for _, idx in groups)))
     block = _probe_block(theta, 2 * per_chunk, params.hidden_size)
@@ -1087,26 +1077,30 @@ def grad_check(
     pos = _probe_positions(params.hidden_size)
     # the probe stack and views of each chunk size: the full one and the tails
     batches: dict[int, tuple[GraphStack, ModelParams]] = {}
-    chunks = [(s, idx[i : i + per_chunk])
-              for s, idx in groups for i in range(0, idx.size, per_chunk)]
-    for s, idx in chunks:
-        if np.isnan(rels[-1]).any():
-            break  # a NaN error already decides the result
-        k = idx.size
-        if k not in batches:
-            batches[k] = (_stack_head(copies, 2 * k),
-                          _probe_views(block[: 2 * k], params.hidden_size))
-        stack_k, probe = batches[k]
-        rows, cols = np.arange(k), pos[idx]
-        block[rows, cols] = theta[idx] + epsilon
-        block[k + rows, cols] = theta[idx] - epsilon
-        losses = _probe_losses(probe, stack_k, cache.states[s - 1], float(target),
-                               rounds + 1 - s, mode)
-        block[rows, cols] = block[k + rows, cols] = theta[idx]
-        rels.append(rel_errors(idx, (losses[:k] - losses[k:]) / (2.0 * epsilon)))
-    rel = np.concatenate(rels)
-    nan = np.isnan(rel)
-    return float(rel[nan.argmax()] if nan.any() else rel.max(initial=0.0))
+    chunks = ((s, idx[i : i + per_chunk])
+              for s, idx in groups for i in range(0, idx.size, per_chunk))
+    # Moving a coordinate of the readout the mode never reads leaves both
+    # probe losses at the unperturbed loss, so its central difference is
+    # (loss - loss) / (2 epsilon) without a forward pass.
+    idle = np.flatnonzero(first > rounds + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan = score(idle, np.full(idle.size, (loss - loss) / (2.0 * epsilon)))
+        for s, idx in chunks:
+            if nan:
+                break  # a NaN error already decides the result
+            k = idx.size
+            if k not in batches:
+                batches[k] = (_stack_head(copies, 2 * k),
+                              _probe_views(block[: 2 * k], params.hidden_size))
+            stack_k, probe = batches[k]
+            rows, cols = np.arange(k), pos[idx]
+            block[rows, cols] = theta[idx] + epsilon
+            block[k + rows, cols] = theta[idx] - epsilon
+            losses = _probe_losses(probe, stack_k, cache.states[s - 1], target,
+                                   rounds + 1 - s, mode)
+            block[rows, cols] = block[k + rows, cols] = theta[idx]
+            nan = score(idx, (losses[:k] - losses[k:]) / (2.0 * epsilon))
+    return float(rel.max())  # NaN if one error is NaN
 
 
 # ---------------------------------------------------------------------------
@@ -1114,20 +1108,12 @@ def grad_check(
 # ---------------------------------------------------------------------------
 
 
-def save_params(
-    params: ModelParams,
-    path,
-    mode: str | None = None,
-    rounds: int | None = None,
-) -> None:
-    """Write a versioned text checkpoint; %.17g keeps doubles bit-exact."""
-    header = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} H={params.hidden_size}"]
-    if mode is not None:
-        _check_mode(mode)
-        header[0] += f" mode={mode}"
-    if rounds is not None:
-        header[0] += f" T={int(rounds)}"
-    lines = header
+def save_params(params: ModelParams, path, mode: str, rounds: int) -> None:
+    """Write a versioned text checkpoint whose header names H, the readout
+    mode and T; %.17g keeps doubles bit-exact."""
+    _check_mode(mode)
+    lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} H={params.hidden_size} "
+             f"mode={mode} T={int(rounds)}"]
     for name, arr in param_tensors(params):
         shape = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {shape}")
@@ -1146,7 +1132,8 @@ def _header_positive_int(path, meta: dict, key: str) -> int:
 
 
 def load_params(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint; returns (params, header metadata)."""
+    """Read a checkpoint; returns (params, header metadata). The header must
+    give H; ``mode=`` and ``T=`` may be missing from a file written elsewhere."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:

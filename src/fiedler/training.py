@@ -35,6 +35,11 @@ EVAL_CHUNK = 512
 
 METRICS_HEADER = "epoch,train_l2,val_l1,val_l2,wall_time_s"
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -46,9 +51,6 @@ class TrainConfig:
     epochs: int
     learning_rate: float = 1e-3
     batch_size: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -95,20 +97,6 @@ class Metrics:
             )
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "Metrics":
-        lines = text.splitlines()
-        if not lines or lines[0] != METRICS_HEADER:
-            raise ValueError("not a metrics CSV")
-        rows = []
-        for line in lines[1:]:
-            epoch, train_l2, val_l1, val_l2, wall = line.split(",")
-            rows.append(
-                EpochRecord(int(epoch), float(train_l2), float(val_l1),
-                            float(val_l2), float(wall))
-            )
-        return cls(rows=rows)
-
 
 def write_metrics(metrics: Metrics, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
@@ -135,26 +123,24 @@ def adam_step(
     grad: np.ndarray,
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, in place: ``theta``, ``state.m`` and
     ``state.v`` are overwritten and ``state.step`` counts up, so parameter
     views of ``theta`` see the new values. ``grad`` and both moments share
-    the layout of ``theta``; the arithmetic is ``beta1*m + (1-beta1)*g``,
+    the layout of ``theta``; with beta1, beta2 and eps the ``ADAM_*``
+    constants, the arithmetic is ``beta1*m + (1-beta1)*g``,
     ``beta2*v + ((1-beta2)*g)*g`` and ``theta - (lr*m_hat)/(sqrt(v_hat)+eps)``.
     """
     if grad.shape != state.m.shape or grad.shape != theta.shape:
         raise ValueError("gradient/state shape mismatch")
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    state.v *= beta2
-    state.v += (1.0 - beta2) * grad * grad
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
     state.step += 1
-    m_hat = state.m / (1.0 - beta1 ** state.step)
-    v_hat = state.v / (1.0 - beta2 ** state.step)
-    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def evaluate(
@@ -194,6 +180,10 @@ def evaluate(
     return l1_sum / n, l2_sum / n
 
 
+# A diverging run overflows before a loss check catches it; the finiteness
+# checks on the training and validation losses are the detector, so the
+# whole run keeps numpy's overflow and invalid-operation warnings quiet.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     config: TrainConfig,
     train_set: Dataset,
@@ -218,10 +208,6 @@ def train(
     metrics = Metrics()
     started = clock()
 
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-
     for epoch in range(1, config.epochs + 1):
         order_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed & ((1 << 64) - 1), epoch])
@@ -232,20 +218,14 @@ def train(
             batch = order[start : start + config.batch_size]
             stack = build_stack(train_set.arrays.take(batch))
             targets = train_set.lambda2[batch]
-            # a diverging run overflows before the loss check catches it;
-            # the check below is the detector, so keep the warnings quiet
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, cache = forward_stack(
-                    params, stack, config.rounds, config.mode, want_cache=True
-                )
-                loss, grad = backward_stack(params, cache, targets)
+            _, cache = forward_stack(params, stack, config.rounds, config.mode, want_cache=True)
+            loss, grad = backward_stack(params, cache, targets)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"batch starting at item {start}"
                 )
-            adam_step(theta, grad, state, config.learning_rate,
-                      config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+            adam_step(theta, grad, state, config.learning_rate)
             # the next batch's forward pass allocates a cache of its own;
             # holding this one until then would keep two alive at once
             del cache, grad
@@ -258,12 +238,11 @@ def train(
             EpochRecord(epoch, train_l2, val_l1, val_l2, clock() - started)
         )
         if checkpoint_dir is not None:
-            save_params(
-                params,
-                checkpoint_dir / f"checkpoint_epoch_{epoch:03d}.txt",
-                mode=config.mode,
-                rounds=config.rounds,
-            )
+            path = Path(checkpoint_dir) / f"checkpoint_epoch_{epoch:03d}.txt"
+            # made at the first checkpoint, so a run that diverges in epoch 1
+            # leaves no empty directory behind
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_params(params, path, mode=config.mode, rounds=config.rounds)
     metrics.validate()
     return params, metrics
 

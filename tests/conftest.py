@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import fiedler
 from fiedler.graphs import Graph, GraphArrays
 from fiedler.model import GraphStack
+from fiedler.training import METRICS_HEADER, EpochRecord, Metrics
 
 
 def complete_graph(n: int) -> Graph:
@@ -32,6 +33,28 @@ def star_graph(leaves: int) -> Graph:
 
 def degree(g: Graph, v: int) -> int:
     return sum(1 for i, j in g.edges if v in (i, j))
+
+
+def permute(g: Graph, perm) -> Graph:
+    """Relabel nodes: edge {i, j} becomes {perm[i], perm[j]}."""
+    p = [int(x) for x in perm]
+    if sorted(p) != list(range(g.n)):
+        raise ValueError(f"perm must be a bijection of 0..{g.n - 1}")
+    return Graph(g.n, [(p[i], p[j]) for i, j in g.edges])
+
+
+def metrics_from_csv_text(text: str) -> Metrics:
+    """The ``Metrics`` whose ``csv_text`` is ``text``."""
+    lines = text.splitlines()
+    if not lines or lines[0] != METRICS_HEADER:
+        raise ValueError("not a metrics CSV")
+    rows = []
+    for line in lines[1:]:
+        epoch, train_l2, val_l1, val_l2, wall = line.split(",")
+        rows.append(
+            EpochRecord(int(epoch), float(train_l2), float(val_l1), float(val_l2), float(wall))
+        )
+    return Metrics(rows=rows)
 
 
 def build_stack_int64_keys(arrays: GraphArrays) -> GraphStack:

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, permute, star_graph
 from fiedler.cli import GRADCHECK_INSTANCES
 from fiedler.data import generate_dataset
-from fiedler.graphs import GraphGenConfig, generate_connected_graph, permute
+from fiedler.graphs import GraphGenConfig, generate_connected_graph
 from fiedler.model import (
     flatten_params,
     forward,

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import fiedler
+from conftest import metrics_from_csv_text
 from fiedler.cli import main
 from fiedler.data import load_dataset
 from fiedler.graphs import GraphGenConfig, generate_connected_graph
 from fiedler.model import init_params, load_params, save_params
-from fiedler.training import Metrics
 
 
 def run(*argv):
@@ -67,7 +71,7 @@ def test_force_guard(workspace):
 
 def test_train_outputs(workspace):
     _, _, _, run_dir = workspace
-    metrics = Metrics.from_csv_text((run_dir / "metrics.csv").read_text())
+    metrics = metrics_from_csv_text((run_dir / "metrics.csv").read_text())
     assert [r.epoch for r in metrics.rows] == [1, 2]
     params, meta = load_params(run_dir / "checkpoint.txt")
     assert params.hidden_size == 8
@@ -99,9 +103,34 @@ def test_train_usage_and_missing_file_errors(tmp_path, workspace):
     assert not out.exists()
 
 
+def test_diverging_train_exits_2_without_warnings_or_out_dir(workspace, tmp_path):
+    """A huge step size diverges in epoch 1: at batch 16 the loss check
+    stops the second batch, at batch 64 (one batch an epoch) the validation
+    check stops the epoch, and at 1e308 the first Adam step overflows.
+    Either way the command exits 2 with one error line on stderr, no
+    RuntimeWarning, and leaves no --out-dir behind."""
+    _, train_file, val_file, _ = workspace
+    src = str(Path(fiedler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for batch, lr, stop in ((16, "1e300", "non-finite loss"),
+                            (64, "1e300", "non-finite validation loss"),
+                            (16, "1e308", "non-finite loss")):
+        out = tmp_path / f"run{batch}-{lr}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiedler.cli", "train", "--train-data", str(train_file),
+             "--val-data", str(val_file), "--T", "2", "--hidden", "8", "--epochs", "2",
+             "--batch", str(batch), "--lr", lr, "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: training diverged: {stop}")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
+
 def test_eval_matches_final_metrics_row(workspace, capsys):
     _, _, val_file, run_dir = workspace
-    metrics = Metrics.from_csv_text((run_dir / "metrics.csv").read_text())
+    metrics = metrics_from_csv_text((run_dir / "metrics.csv").read_text())
     last = metrics.rows[-1]
     assert run("eval", "--checkpoint", run_dir / "checkpoint.txt",
                "--data", val_file) == 0

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -47,9 +48,9 @@ def test_dataset_file_round_trip(tmp_path, small_dataset):
     text = path.read_text()
     assert text.startswith("fiedler-dataset v1 count=30\n")
     loaded = load_dataset(path)
-    assert loaded.graphs() == small_dataset.graphs()
+    assert [g for g, _ in loaded.items] == [g for g, _ in small_dataset.items]
     # labels are stored at 12 significant digits
-    for got, want in zip(loaded.labels(), small_dataset.labels()):
+    for (_, got), (_, want) in zip(loaded.items, small_dataset.items):
         assert got == pytest.approx(want, rel=1e-11)
     # saving the loaded dataset reproduces the bytes
     path2 = tmp_path / "data2.txt"
@@ -81,6 +82,23 @@ def test_regeneration_is_byte_identical():
     a = dataset_text(generate_dataset(cfg, 10))
     b = dataset_text(generate_dataset(cfg, 10))
     assert a == b
+
+
+def test_gen_data_bytes_are_pinned(tmp_path):
+    """Per-seed reproducibility of datasets across commits: the file that
+    ``fiedler gen-data --count 1000 --seed 3`` writes has these bytes, and
+    the labels of that dataset these float64 bits. The file keeps 12
+    significant digits of each label, so its bytes alone miss a change in a
+    label's last bits (rounding ``tau`` differently in the oracle's rotation
+    moves label bits and no file byte)."""
+    path = tmp_path / "data.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--count", "1000", "--seed", "3", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c67544a19fc9b91f0b648a4cf2fa50e11c11c5a259e9092f0f3a035f59657426")
+    ds = generate_dataset(GraphGenConfig(n_range=(9, 11), p_range=(0.16, 0.95), seed=3), 1000)
+    assert hashlib.sha256(ds.lambda2.tobytes()).hexdigest() == (
+        "85596d364e5b899f2be6f68e7b263098389f1a25d531ac4ba37c1c9a50f03eaa")
 
 
 def test_edges_serialized_lexicographically(small_dataset):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_graph, degree, path_graph
+from conftest import complete_graph, degree, path_graph, permute
 from fiedler.graphs import (
     MAX_REJECTIONS,
     MIN_NODES,
@@ -19,7 +19,6 @@ from fiedler.graphs import (
     is_connected,
     laplacian,
     laplacian_stack,
-    permute,
 )
 from fiedler.spectral import algebraic_connectivity
 

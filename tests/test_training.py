@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import build_stack_int64_keys, complete_graph
+from conftest import build_stack_int64_keys, complete_graph, metrics_from_csv_text
 from fiedler import model
 from fiedler.data import Dataset, generate_dataset
 from fiedler.graphs import GraphGenConfig, generate_connected_graph, generate_graph_arrays
@@ -176,7 +176,7 @@ def test_metrics_csv_round_trip():
     ])
     text = m.csv_text()
     assert text.splitlines()[0] == "epoch,train_l2,val_l1,val_l2,wall_time_s"
-    again = Metrics.from_csv_text(text)
+    again = metrics_from_csv_text(text)
     assert again.csv_text() == text
 
 
@@ -188,7 +188,7 @@ _metric = st.floats(min_value=0.0, allow_infinity=False)
 def test_metrics_csv_round_trip_is_bitwise(values):
     m = Metrics(rows=[EpochRecord(i, *v) for i, v in enumerate(values, start=1)])
     m.validate()
-    again = Metrics.from_csv_text(m.csv_text())
+    again = metrics_from_csv_text(m.csv_text())
 
     def bits(metrics):
         return [(r.epoch, *(x.hex() for x in (r.train_l2, r.val_l1, r.val_l2, r.wall_time_s)))
