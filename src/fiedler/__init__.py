@@ -17,9 +17,8 @@ from .graphs import (
     generate_connected_graph,
     generate_graph_arrays,
     is_connected,
-    laplacian,
 )
-from .spectral import algebraic_connectivities, algebraic_connectivity, jacobi_eigensystem
+from .spectral import algebraic_connectivities, algebraic_connectivity
 from .model import (
     ForwardCache,
     GraphStack,

@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import dataset_chunks, generate_dataset, load_dataset
 from .graphs import GraphGenConfig, MAX_NODES, MIN_NODES, generate_connected_graph
@@ -90,8 +92,13 @@ def _env_seed() -> int:
 def _resolve_options(args) -> None:
     """Give every configurable flag left unset its config-file value, cast
     with the flag's own type, or else its default. ``args.origins`` maps each
-    flag name to where its value came from, for messages about it."""
+    flag name to where its value came from, for messages about it. A config
+    key that names none of the command's configurable flags is an error."""
     conf = _load_config_file(args.config) if args.config else {}
+    keys = {key for _, key, _ in args.options}
+    for key, (_, where) in conf.items():
+        if key not in keys:
+            raise UsageError(f"{where}: {key}: not a config key of {args.command}")
     args.origins = {}
     for action, key, default in args.options:
         value = getattr(args, action.dest)
@@ -204,6 +211,13 @@ def _resolve_checkpoint(args, local_only: bool = False):
             raise UsageError("checkpoint has no T metadata; pass --T")
         rounds = 8
     return params, mode, rounds
+
+
+def _require_finite(args, values) -> None:
+    """Weights that overflow give NaN or infinite results; such a result is a
+    runtime failure, raised before anything is printed or written."""
+    if not np.isfinite(values).all():
+        raise RuntimeError(f"{args.checkpoint}: the checkpoint's weights give non-finite results")
 
 
 def _positive_int(text: str) -> int:
@@ -348,7 +362,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params, mode, rounds = _resolve_checkpoint(args)
     dataset = load_dataset(args.data)
-    mean_l1, mean_l2 = evaluate(params, dataset, rounds, mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_l1, mean_l2 = evaluate(params, dataset, rounds, mode)
+    _require_finite(args, [mean_l1, mean_l2])
     print(f"l1={mean_l1:.17g} l2={mean_l2:.17g}")
     if args.out:
         _write_run(
@@ -375,7 +391,9 @@ def _cmd_sweep(args) -> int:
     n_lo, n_hi = _train_n_range(manifest_path)
 
     gen_cfg = _graph_config(args, (min(sizes), max(sizes)), ("sizes",))
-    rows = generalization_sweep(params, sizes, args.per_size, gen_cfg, rounds, mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = generalization_sweep(params, sizes, args.per_size, gen_cfg, rounds, mode)
+    _require_finite(args, [mean_l1 for _, mean_l1, _ in rows])
 
     lines = ["n,mean_l1,count,in_train_range"]
     for n, mean_l1, count in rows:
@@ -408,7 +426,9 @@ def _cmd_simulate(args) -> int:
         if (min(i, j), max(i, j)) not in g.edges:
             raise UsageError(f"--drop-edges: {i}-{j} is not an edge of the simulated graph")
     drop_from = 1 if args.drop_from is None else args.drop_from
-    estimates, trace = run_simulation(params, g, rounds, dropped, drop_from)
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates, trace = run_simulation(params, g, rounds, dropped, drop_from)
+    _require_finite(args, estimates)
     report = NodeEstimateReport.from_estimates(g, estimates)
     for line in report.text_lines():
         print(line)

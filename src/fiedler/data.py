@@ -185,8 +185,13 @@ def load_dataset(path, verify: bool = True) -> Dataset:
     head = lines[0].split()
     if head[:2] != [DATASET_MAGIC, DATASET_VERSION]:
         raise ValueError(f"{path}: not a {DATASET_MAGIC} {DATASET_VERSION} file")
+    meta: dict[str, str] = {}
+    for key, _, value in (tok.partition("=") for tok in head[2:]):
+        if key in meta:
+            raise ValueError(f"{path}: header repeats {key}=")
+        meta[key] = value
     try:
-        count = int(dict(tok.partition("=")[::2] for tok in head[2:])["count"])
+        count = int(meta["count"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: header missing count=") from exc
     body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]

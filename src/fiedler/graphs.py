@@ -55,16 +55,6 @@ class Graph:
         """Edges sorted lexicographically (the canonical on-disk order)."""
         return sorted(self.edges)
 
-    def neighbor_lists(self) -> list[list[int]]:
-        """Ascending neighbor list per node."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
-
 
 @dataclass(frozen=True, eq=False)
 class GraphArrays:
@@ -238,21 +228,11 @@ def generate_connected_graph(cfg: GraphGenConfig, draw_index: int) -> Graph:
     return Graph(n, ends.tolist())
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian L = D - A (symmetric, rows sum to zero): the
-    Laplacian ``laplacian_stack`` gives a one-graph stack, filled from
-    ``g.edges`` by the same operations."""
-    lap = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        lap[i, j] = lap[j, i] = -1.0
-    lap.flat[:: g.n + 1] -= lap.sum(axis=1)
-    return lap
-
-
 def laplacian_stack(arrays: GraphArrays) -> np.ndarray:
-    """``(B, n, n)`` Laplacians of the B graphs of ``arrays``, n the largest
-    node count: graph b's Laplacian fills the leading ``sizes[b]``-square
-    block and every other entry is +0.0."""
+    """``(B, n, n)`` Laplacians L = D - A of the B graphs of ``arrays``, n the
+    largest node count: graph b's Laplacian fills the leading
+    ``sizes[b]``-square block and every other entry is +0.0. Each edge writes
+    its two entries alike, so every matrix is exactly symmetric."""
     count, n = len(arrays), int(arrays.sizes.max())
     b = np.repeat(np.arange(count), np.diff(arrays.edge_offsets))
     i, j = arrays.ends.T

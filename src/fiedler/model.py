@@ -1146,6 +1146,8 @@ def load_params(path) -> tuple[ModelParams, dict]:
         key, _, value = token.partition("=")
         if not value:
             raise ValueError(f"{path}: malformed header token {token!r}")
+        if key in meta:
+            raise ValueError(f"{path}: header repeats {key}=")
         meta[key] = value
     if "H" not in meta:
         raise ValueError(f"{path}: header missing H=")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
-from .model import ModelParams, gru_update, initial_state, readout_local
+from .graphs import Graph, GraphArrays
+from .model import ModelParams, build_stack, gru_update, initial_state, readout_local
 from .spectral import algebraic_connectivity
 
 
@@ -72,7 +72,10 @@ def run_simulation(
     h = params.hidden_size
     start = initial_state(g.n, h)
     agents = [Agent(node=v, params=params, state=start[v].copy()) for v in range(g.n)]
-    nbrs = g.neighbor_lists()
+    # each node's row of the adjacency: its neighbours, ascending
+    adjacency = build_stack(GraphArrays.of([g])).adjacency
+    indptr, indices = adjacency.indptr.tolist(), adjacency.indices.tolist()
+    nbrs = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
     trace_rounds = []
 
     for rnd in range(1, rounds + 1):

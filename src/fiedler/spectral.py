@@ -1,4 +1,4 @@
-"""The algebraic-connectivity oracle: exact eigenvalues of symmetric matrices.
+"""The algebraic-connectivity oracle: exact eigenvalues of graph Laplacians.
 
 The solver computes eigenvalues only, all that the oracle needs, by the
 cyclic Jacobi method in row-by-row pair order (Golub & Van Loan, *Matrix
@@ -11,11 +11,9 @@ through exactly the arithmetic of solving it alone: a matrix's result is
 bitwise the same whatever else is in the stack, and equal to a scalar loop
 over the same rotations (tests/test_spectral.py keeps one as the reference).
 
-The solver reads the upper triangle of each matrix: its working copy mirrors
-that triangle into the lower one before either path runs, so every matrix is
-exactly symmetric and every rotation keeps it so. An input within
-SYMMETRY_TOL of symmetric but not exactly symmetric is solved as its mirrored
-upper triangle.
+Every input is a stack that ``graphs.laplacian_stack`` built, which writes
+each edge's two entries alike, so every matrix is exactly symmetric and every
+rotation keeps it so.
 
 The solver has two paths with that same arithmetic, entry for entry. While
 the unconverged matrices times n exceed SCALAR_MAX_ENTRIES (64), a sweep
@@ -56,7 +54,7 @@ The row order keeps every label bitwise stable.
 
 It is the ground truth every learned estimate is judged against, so it stays
 self-contained and auditable rather than delegating to a LAPACK binding.
-Intended for matrices up to 64x64; convergence is quadratic, typically well
+Graphs have at most 64 nodes; convergence is quadratic, typically well
 under ten sweeps.
 """
 from __future__ import annotations
@@ -65,9 +63,8 @@ import math
 
 import numpy as np
 
-from .graphs import Graph, GraphArrays, laplacian, laplacian_stack
+from .graphs import Graph, GraphArrays, laplacian_stack
 
-SYMMETRY_TOL = 1e-12
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
 
@@ -95,53 +92,21 @@ ORACLE_CHUNK = 512
 SCALAR_MAX_ENTRIES = 64
 
 
-def jacobi_eigensystem(matrix) -> np.ndarray:
-    """Eigenvalues (ascending) of a symmetric matrix, or of each matrix of a
-    ``(B, n, n)`` stack, by cyclic Jacobi rotations.
+def _solve(stack, sizes) -> np.ndarray:
+    """Cyclic Jacobi on an exactly symmetric ``(B, n, n)`` stack whose matrix
+    b is its leading ``sizes[b]``-square block, zero-padded. Row b of the
+    result holds that block's eigenvalues ascending, then +inf in each padded
+    slot.
 
     A matrix is converged when the Frobenius norm of its off-diagonal part
     drops to OFF_DIAGONAL_TOL, and then leaves the stack; raises RuntimeError
     if any matrix is still unconverged after MAX_SWEEPS sweeps. Both are read
-    at call time.
-
-    The solver reads the upper triangle: a matrix within SYMMETRY_TOL of
-    symmetric but not exactly symmetric gives the bits of its upper triangle
-    mirrored into the lower one. A matrix with a NaN or infinite entry is
-    rejected.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"matrix must be square or a stack of squares, got shape {m.shape}")
-    n = m.shape[-1]
-    if n == 0:
-        raise ValueError("matrix must be non-empty")
-    stack = m.reshape(-1, n, n)
-
-    def reject(bad, why):
-        if np.any(bad):
-            where = "" if m.ndim == 2 else f" {int(np.argmax(bad))}"
-            raise ValueError(f"matrix{where} {why}")
-
-    # checked first: the symmetry check would subtract infinities
-    reject(~np.isfinite(stack).all(axis=(1, 2)), "has a non-finite entry")
-    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    reject(asym > SYMMETRY_TOL, "is not symmetric within 1e-12")
-    eigenvalues = _solve(stack, np.full(len(stack), n))
-    return eigenvalues[0] if m.ndim == 2 else eigenvalues
-
-
-def _solve(stack, sizes) -> np.ndarray:
-    """Cyclic Jacobi on a ``(B, n, n)`` stack whose matrix b is its leading
-    ``sizes[b]``-square block, zero-padded. Row b of the result holds that
-    block's eigenvalues ascending, then +inf in each padded slot."""
+    at call time."""
     count, n = stack.shape[:2]
     # Batch-last layout: a[i, k] holds entry (i, k) of every active matrix, so
     # that a rotation reads and writes contiguous rows.
     a = stack.transpose(1, 2, 0).copy()
-    # The solver reads the upper triangle: mirrored once here, every matrix
-    # is exactly symmetric, and every rotation keeps it so.
     upper = np.triu_indices(n, 1)
-    a[upper[::-1]] = a[upper]
     diag = np.empty((count, n))
     active = np.arange(count)
     diagonal = np.arange(n)
@@ -342,4 +307,4 @@ def algebraic_connectivities(arrays: GraphArrays) -> np.ndarray:
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff g is connected."""
-    return float(_solve(laplacian(g)[None], np.array([g.n]))[0, 1])
+    return float(_solve(laplacian_stack(GraphArrays.of([g])), np.array([g.n]))[0, 1])

@@ -9,7 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 
 import fiedler
-from fiedler.graphs import Graph, GraphArrays
+from fiedler import spectral
+from fiedler.graphs import Graph, GraphArrays, laplacian_stack
 from fiedler.model import GraphStack
 from fiedler.training import METRICS_HEADER, EpochRecord, Metrics
 
@@ -29,6 +30,15 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Hub node 0 with ``leaves`` pendant nodes."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def laplacian_of(g: Graph) -> np.ndarray:
+    return laplacian_stack(GraphArrays.of([g]))[0]
+
+
+def eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """The oracle's solver on an exactly symmetric ``(B, n, n)`` stack."""
+    return spectral._solve(stack, np.full(len(stack), stack.shape[-1]))
 
 
 def degree(g: Graph, v: int) -> int:

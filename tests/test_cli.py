@@ -18,11 +18,20 @@ from conftest import metrics_from_csv_text
 from fiedler.cli import main
 from fiedler.data import load_dataset
 from fiedler.graphs import GraphGenConfig, generate_connected_graph
-from fiedler.model import init_params, load_params, save_params
+from fiedler.model import flatten_params, init_params, load_params, param_views, save_params
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_child(*argv):
+    """``fiedler argv`` in a child process, its stdout and stderr captured."""
+    src = str(Path(fiedler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "fiedler.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -110,22 +119,36 @@ def test_diverging_train_exits_2_without_warnings_or_out_dir(workspace, tmp_path
     Either way the command exits 2 with one error line on stderr, no
     RuntimeWarning, and leaves no --out-dir behind."""
     _, train_file, val_file, _ = workspace
-    src = str(Path(fiedler.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for batch, lr, stop in ((16, "1e300", "non-finite loss"),
                             (64, "1e300", "non-finite validation loss"),
                             (16, "1e308", "non-finite loss")):
         out = tmp_path / f"run{batch}-{lr}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fiedler.cli", "train", "--train-data", str(train_file),
-             "--val-data", str(val_file), "--T", "2", "--hidden", "8", "--epochs", "2",
-             "--batch", str(batch), "--lr", lr, "--out-dir", str(out)],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_child("train", "--train-data", train_file, "--val-data", val_file,
+                         "--T", 2, "--hidden", 8, "--epochs", 2, "--batch", batch,
+                         "--lr", lr, "--out-dir", out)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: training diverged: {stop}")
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not out.exists()
+
+
+def test_non_finite_results_exit_2_without_warnings_or_outputs(workspace, tmp_path):
+    """Finite weights so large that the forward pass overflows: eval, sweep
+    and simulate exit 2 with one error line naming the checkpoint, print no
+    RuntimeWarning and no result, and write no --out file or manifest."""
+    _, _, val_file, _ = workspace
+    ckpt = tmp_path / "checkpoint.txt"
+    huge = param_views(flatten_params(init_params(8, 0)) * 1e300, 8)
+    save_params(huge, ckpt, mode="local", rounds=2)
+    (tmp_path / "manifest.json").write_text('{"config": {"train_n_range": [6, 8]}}\n')
+    for argv in (["eval", "--data", val_file],
+                 ["sweep", "--sizes", "6,7", "--per-size", 4],
+                 ["simulate", "--n", 6, "--trace", tmp_path / "trace.csv"]):
+        proc = run_child(*argv, "--checkpoint", ckpt, "--out", tmp_path / "out.csv")
+        assert proc.returncode == 2, (argv[0], proc.stderr)
+        assert proc.stderr.startswith(f"error: {ckpt}: ") and proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr and proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt", "manifest.json"]
 
 
 def test_eval_matches_final_metrics_row(workspace, capsys):
@@ -182,7 +205,8 @@ def _nan_first_weight(text):
     lambda text: text.replace("T=2", "T=0", 1),
     lambda text: text.replace("mode=local", "mode=bogus", 1),
     _nan_first_weight,
-], ids=["rounds", "mode", "weight"])
+    lambda text: text.replace("T=2", "T=2 T=7", 1),
+], ids=["rounds", "mode", "weight", "repeated-key"])
 def test_eval_rejects_malformed_checkpoint(workspace, tmp_path, corrupt):
     _, _, val_file, run_dir = workspace
     bad = tmp_path / "bad.txt"
@@ -398,13 +422,17 @@ def test_unknown_flag_is_usage_error():
      "lr=nan\n", 1, "conf.txt:1: lr"),
     (["train", "--train-data", "{tmp}/empty.txt", "--val-data", "{tmp}/empty.txt",
       "--out-dir", "{tmp}/r"], None, 2, "non-empty"),
+    (["gen-data", "--out", "{tmp}/d.txt"], "count=5\ncuont=5\n", 1, "conf.txt:2: cuont"),
+    (["eval", "--checkpoint", "{ckpt}", "--data", "{val}", "--out", "{tmp}/e.csv"],
+     "mode=global\n", 1, "conf.txt:1: mode"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
         "conf-epochs", "conf-batch", "sizes", "drop-edges", "drop-edges-not-an-edge",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
         "train-manifest-json", "train-manifest-key", "drop-from-0", "drop-from-negative",
         "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan",
         "n-min-flag", "conf-n-min", "p-order-flags", "conf-p-min", "sweep-p-order",
-        "simulate-n", "lr-nan", "lr-inf", "conf-lr-nan", "train-empty-data"])
+        "simulate-n", "lr-nan", "lr-inf", "conf-lr-nan", "train-empty-data",
+        "conf-unknown-key", "conf-flag-only-key"])
 def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
     _, train_file, val_file, run_dir = workspace
     (tmp_path / "nokey.json").write_text('{"config": {}}\n')
@@ -417,7 +445,7 @@ def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, con
         argv += ["--config", tmp_path / "conf.txt"]
     assert run(*argv) == code
     assert where in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
+    assert not any((tmp_path / name).exists() for name in ("r", "d.txt", "e.csv", "s.csv"))
 
 
 # Each command's configurable options, given once as flags and once in a

@@ -101,6 +101,21 @@ def test_gen_data_bytes_are_pinned(tmp_path):
         "85596d364e5b899f2be6f68e7b263098389f1a25d531ac4ba37c1c9a50f03eaa")
 
 
+def test_mixed_size_gen_data_bytes_are_pinned(tmp_path):
+    """As above for sizes 3..40: the oracle solves these graphs in one stack
+    zero-padded to 40 nodes, from which each matrix leaves at the sweep at
+    which it converges, so this pins padded rotations next to other sizes."""
+    path = tmp_path / "data.txt"
+    argv = ["gen-data", "--count", "200", "--n-min", "3", "--n-max", "40", "--seed", "11"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "635ea4e58cdb50cdd7234adaf2c5fc80ff544c240f8d9ed8ce537deb7f3f47a7")
+    ds = generate_dataset(GraphGenConfig(n_range=(3, 40), p_range=(0.16, 0.95), seed=11), 200)
+    assert hashlib.sha256(ds.lambda2.tobytes()).hexdigest() == (
+        "bfffb9f19f88305ca8f841c341f080981393950af336835703c6d2aad34b2cb2")
+
+
 def test_edges_serialized_lexicographically(small_dataset):
     line = dataset_text(small_dataset).splitlines()[1]
     edge_field = line.split("edges=")[1].split(" ")[0]
@@ -130,6 +145,10 @@ def test_load_rejects_malformed_files(tmp_path):
         load_dataset(path)
     path.write_text("fiedler-dataset v1 count=2\nn=3 edges=0-1,1-2 lambda2=1.0e+00\n")
     with pytest.raises(ValueError, match="found 1"):
+        load_dataset(path)
+    path.write_text("fiedler-dataset v1 count=9 count=3\n"
+                    + "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n" * 3)
+    with pytest.raises(ValueError, match=r"junk\.txt: header repeats count=$"):
         load_dataset(path)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_graph, degree, path_graph, permute
+from conftest import complete_graph, laplacian_of, path_graph, permute
 from fiedler.graphs import (
     MAX_REJECTIONS,
     MIN_NODES,
@@ -17,7 +17,6 @@ from fiedler.graphs import (
     generate_connected_graph,
     generate_graph_arrays,
     is_connected,
-    laplacian,
     laplacian_stack,
 )
 from fiedler.spectral import algebraic_connectivity
@@ -38,12 +37,6 @@ def test_graph_rejects_bad_inputs():
         Graph(4, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(4, [(0, 4)])
-
-
-def test_neighbor_lists_ascending():
-    g = Graph(4, [(0, 3), (0, 1), (2, 3)])
-    assert g.neighbor_lists() == [[1, 3], [0], [3], [0, 2]]
-    assert degree(g, 3) == 2
 
 
 def test_gen_config_validation():
@@ -94,14 +87,14 @@ def test_is_connected_cases():
 
 
 def test_laplacian_triangle():
-    lap = laplacian(complete_graph(3))
+    lap = laplacian_of(complete_graph(3))
     assert np.array_equal(np.diag(lap), [2, 2, 2])
     off = lap[~np.eye(3, dtype=bool)]
     assert np.array_equal(off, -np.ones(6))
 
 
 def test_laplacian_path3():
-    lap = laplacian(path_graph(3))
+    lap = laplacian_of(path_graph(3))
     expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
     assert np.array_equal(lap, expected)
 
@@ -109,7 +102,7 @@ def test_laplacian_path3():
 def test_laplacian_rows_sum_to_zero():
     cfg = GraphGenConfig(n_range=(5, 12), p_range=(0.2, 0.8), seed=3)
     for idx in range(20):
-        lap = laplacian(generate_connected_graph(cfg, idx))
+        lap = laplacian_of(generate_connected_graph(cfg, idx))
         assert np.max(np.abs(lap.sum(axis=1))) == 0.0
         assert np.array_equal(lap, lap.T)
 
@@ -132,9 +125,9 @@ def test_mixed_size_laplacian_stack_is_zero_padded():
     n = max(g.n for g in graphs)
     assert stack.shape == (len(graphs), n, n)
     for lap, g in zip(stack, graphs):
-        for want in (_loop_laplacian(g), laplacian(g)):
-            assert np.array_equal(lap[: g.n, : g.n], want)
-            assert np.array_equal(np.signbit(lap[: g.n, : g.n]), np.signbit(want))
+        want = _loop_laplacian(g)
+        assert np.array_equal(lap[: g.n, : g.n], want)
+        assert np.array_equal(np.signbit(lap[: g.n, : g.n]), np.signbit(want))
         padding = np.ones((n, n), dtype=bool)
         padding[: g.n, : g.n] = False
         assert np.all(lap[padding] == 0.0) and not np.any(np.signbit(lap[padding]))
@@ -177,7 +170,10 @@ def test_permute_rejects_non_bijections():
 
 def _bfs_connected(g):
     """Reference: breadth-first search from node 0 over neighbour lists."""
-    nbrs = g.neighbor_lists()
+    nbrs = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     seen = [False] * g.n
     seen[0] = True
     queue = deque([0])
@@ -261,9 +257,6 @@ def test_arrays_match_the_per_graph_references(graphs):
     index = np.arange(len(graphs))[::-1].repeat(2)
     taken = arrays.take(index)
     assert [taken.graph(b) for b in range(len(index))] == [graphs[k] for k in index]
-    # the one-graph Laplacian, zero signs included
-    for g in graphs:
-        assert laplacian(g).tobytes() == laplacian_stack(GraphArrays.of([g]))[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1801,6 +1801,10 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     clipped.write_text("\n".join(text[: len(text) // 2]) + "\n")
     with pytest.raises(ValueError):
         load_params(clipped)
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("\n".join([text[0] + " T=7", *text[1:]]) + "\n")
+    with pytest.raises(ValueError, match=r"repeated\.txt: header repeats T=$"):
+        load_params(repeated)
 
 
 def _corrupt_checkpoint(tmp_path, edit):

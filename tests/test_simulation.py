@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, degree, path_graph
 from fiedler.graphs import Graph, GraphGenConfig, generate_connected_graph
 from fiedler.model import forward, init_params
 from fiedler.simulation import NodeEstimateReport, run_simulation
@@ -32,6 +32,16 @@ def test_trace_counts():
         assert len(record.messages) == 2 * len(g.edges)
         assert record.states.shape == (g.n, 8)
     assert trace.message_count() == rounds * 2 * len(g.edges)
+
+
+def test_trace_delivers_to_neighbours_in_ascending_order():
+    """Agents send in node order, each to its neighbours ascending."""
+    g = Graph(4, [(0, 3), (0, 1), (2, 3)])
+    assert degree(g, 3) == 2
+    _, trace = run_simulation(init_params(8, seed=3), g, 2)
+    for record in trace.rounds:
+        assert [(s, r) for s, r, _ in record.messages] == [
+            (0, 1), (0, 3), (1, 0), (2, 3), (3, 0), (3, 2)]
 
 
 def test_symmetric_graph_agents_agree_exactly():
