@@ -65,7 +65,8 @@ class RunManifest:
 
 
 def _load_config_file(path) -> dict:
-    """``key -> (value, "path:line")``; a repeated key keeps its last value."""
+    """``key -> (value, "path:line")``. A key given twice is a usage error
+    naming both lines, as a repeated key in a file header is."""
     conf = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -75,7 +76,10 @@ def _load_config_file(path) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            conf[key.strip()] = (value.strip(), f"{path}:{lineno}")
+            key, where = key.strip(), f"{path}:{lineno}"
+            if key in conf:
+                raise UsageError(f"{where}: {key}: repeats {conf[key][1]}")
+            conf[key] = (value.strip(), where)
     return conf
 
 

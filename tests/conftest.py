@@ -41,6 +41,20 @@ def eigenvalues(stack: np.ndarray) -> np.ndarray:
     return spectral._solve(stack, np.full(len(stack), stack.shape[-1]))
 
 
+def count_solver_calls(monkeypatch) -> list:
+    """Patch the oracle's solver to record the sorted node counts of each
+    stack it is handed; returns that record."""
+    calls = []
+    solve = spectral._solve
+
+    def counting(stack, sizes):
+        calls.append(sorted(sizes.tolist()))
+        return solve(stack, sizes)
+
+    monkeypatch.setattr(spectral, "_solve", counting)
+    return calls
+
+
 def degree(g: Graph, v: int) -> int:
     return sum(1 for i, j in g.edges if v in (i, j))
 

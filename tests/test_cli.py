@@ -425,6 +425,8 @@ def test_unknown_flag_is_usage_error():
     (["gen-data", "--out", "{tmp}/d.txt"], "count=5\ncuont=5\n", 1, "conf.txt:2: cuont"),
     (["eval", "--checkpoint", "{ckpt}", "--data", "{val}", "--out", "{tmp}/e.csv"],
      "mode=global\n", 1, "conf.txt:1: mode"),
+    (["gen-data", "--out", "{tmp}/d.txt"], "count=5\nseed=3\ncount=7\n", 1,
+     "conf.txt:3: count: repeats {tmp}/conf.txt:1"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
         "conf-epochs", "conf-batch", "sizes", "drop-edges", "drop-edges-not-an-edge",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
@@ -432,7 +434,7 @@ def test_unknown_flag_is_usage_error():
         "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan",
         "n-min-flag", "conf-n-min", "p-order-flags", "conf-p-min", "sweep-p-order",
         "simulate-n", "lr-nan", "lr-inf", "conf-lr-nan", "train-empty-data",
-        "conf-unknown-key", "conf-flag-only-key"])
+        "conf-unknown-key", "conf-flag-only-key", "conf-repeated-key"])
 def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
     _, train_file, val_file, run_dir = workspace
     (tmp_path / "nokey.json").write_text('{"config": {}}\n')
@@ -444,7 +446,7 @@ def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, con
         (tmp_path / "conf.txt").write_text(conf)
         argv += ["--config", tmp_path / "conf.txt"]
     assert run(*argv) == code
-    assert where in capsys.readouterr().err
+    assert where.format(**names) in capsys.readouterr().err
     assert not any((tmp_path / name).exists() for name in ("r", "d.txt", "e.csv", "s.csv"))
 
 

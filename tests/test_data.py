@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 import fiedler
+from conftest import count_solver_calls
+from fiedler import data, spectral
 from fiedler.cli import main
 from fiedler.data import Dataset, dataset_text, generate_dataset, load_dataset, save_dataset
 from fiedler.graphs import MAX_NODES, MIN_NODES, Graph, GraphGenConfig, is_connected
@@ -204,6 +206,38 @@ def test_verified_load_reports_the_first_bad_line(tmp_path, small_dataset):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=expect):
             load_dataset(path)
+
+
+def test_verified_load_solves_only_a_failing_graph(tmp_path, monkeypatch, small_dataset):
+    path = tmp_path / "data.txt"
+    save_dataset(small_dataset, path)
+    calls = count_solver_calls(monkeypatch)
+    load_dataset(path)
+    assert calls == []
+    lines = path.read_text().splitlines()
+    for index in (5, 9):
+        lines[index] = lines[index].rsplit("lambda2=", 1)[0] + "lambda2=1.0e+00"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"data\.txt:6: label 1\.0 disagrees with oracle"):
+        load_dataset(path)
+    assert len(calls) == 1 and len(calls[0]) == 1
+
+
+def test_verify_is_independent_of_the_labeller(tmp_path, monkeypatch):
+    """A labeller that is off by 1e-8 everywhere writes a file that a
+    verified load rejects at its first line, with the faulty labeller still
+    in place: the check does not re-run it."""
+    labeller = spectral.algebraic_connectivities
+
+    def off(arrays):
+        return labeller(arrays) + 1e-8
+
+    monkeypatch.setattr(spectral, "algebraic_connectivities", off)
+    monkeypatch.setattr(data, "algebraic_connectivities", off)
+    path = tmp_path / "data.txt"
+    save_dataset(generate_dataset(GraphGenConfig(seed=5), 20), path)
+    with pytest.raises(ValueError, match=r"data\.txt:2: label"):
+        load_dataset(path)
 
 
 @pytest.fixture(scope="module")

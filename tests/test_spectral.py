@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -7,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_graph, cycle_graph, eigenvalues, laplacian_of, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    count_solver_calls,
+    cycle_graph,
+    eigenvalues,
+    laplacian_of,
+    path_graph,
+    star_graph,
+)
 from fiedler import spectral
 from fiedler.graphs import Graph, GraphArrays, GraphGenConfig, generate_connected_graph
 from fiedler.spectral import algebraic_connectivities, algebraic_connectivity
@@ -338,22 +347,10 @@ def test_padded_stacks_are_bitwise_equal_to_single_calls(graphs):
             assert _hex(algebraic_connectivities(GraphArrays.of(graphs))) == single
 
 
-def _count_solver_calls(monkeypatch):
-    calls = []
-    solve = spectral._solve
-
-    def counting(stack, sizes):
-        calls.append(sorted(sizes.tolist()))
-        return solve(stack, sizes)
-
-    monkeypatch.setattr(spectral, "_solve", counting)
-    return calls
-
-
 def test_paper_law_reaches_the_solver_in_one_call(monkeypatch):
     cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.16, 0.95), seed=601)
     graphs = [generate_connected_graph(cfg, idx) for idx in range(100)]
-    calls = _count_solver_calls(monkeypatch)
+    calls = count_solver_calls(monkeypatch)
     algebraic_connectivities(GraphArrays.of(graphs))
     assert len(calls) == 1 and len(calls[0]) == 100
     assert set(calls[0]) == {9, 10, 11}
@@ -362,7 +359,7 @@ def test_paper_law_reaches_the_solver_in_one_call(monkeypatch):
 def test_size_groups_join_a_chunk_only_whole(monkeypatch):
     graphs = [cycle_graph(9)] * 6 + [path_graph(4)] * 3 + [star_graph(4)] * 4
     monkeypatch.setattr(spectral, "ORACLE_CHUNK", 8)
-    calls = _count_solver_calls(monkeypatch)
+    calls = count_solver_calls(monkeypatch)
     algebraic_connectivities(GraphArrays.of(graphs))
     # 3 + 4 fit in 8; the group of 6 does not fit beside them
     assert calls == [[4, 4, 4, 5, 5, 5, 5], [9] * 6]
@@ -432,3 +429,63 @@ def test_solver_leaves_its_input_unchanged():
         before = stack.copy()
         eigenvalues(stack)
         assert np.array_equal(stack, before)
+
+
+# -- the label certificate ---------------------------------------------------
+
+
+CERTIFICATE_SETS = ["extremes", "n9-11", "n3-40", "n60-64"]
+
+
+@pytest.fixture(scope="module")
+def certificate_sets():
+    """Name -> (graphs, oracle labels): extreme graphs (largest and smallest
+    lambda2 at n 64, a long cycle, a disconnected graph), then 300 generated
+    graphs each of the paper's law, mixed sizes 3..40 and the largest sizes."""
+    sets = {"extremes": GraphArrays.of([complete_graph(64), path_graph(64), star_graph(63),
+                                        cycle_graph(40), Graph(8, [(0, 1), (2, 3)])])}
+    for name, n_range in zip(CERTIFICATE_SETS[1:], [(9, 11), (3, 40), (60, 64)]):
+        cfg = GraphGenConfig(n_range=n_range, p_range=(0.16, 0.95), seed=23)
+        sets[name] = GraphArrays.of(generate_connected_graph(cfg, idx) for idx in range(300))
+    return {name: (arrays, algebraic_connectivities(arrays)) for name, arrays in sets.items()}
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_SETS)
+def test_certificate_decides_the_tolerance_to_a_thousandth(certificate_sets, name):
+    arrays, truths = certificate_sets[name]
+    for offset, within in [(0.0, True), (0.999e-9, True), (-0.999e-9, True),
+                           (1.001e-9, False), (-1.001e-9, False)]:
+        assert (spectral.labels_within(arrays, truths + offset, 1e-9) == within).all(), offset
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_SETS)
+def test_certificate_accepts_labels_as_stored(certificate_sets, name):
+    arrays, truths = certificate_sets[name]
+    stored = [float(f"{label:.12e}") for label in truths.tolist()]
+    assert spectral.labels_within(arrays, stored, 1e-9).all()
+
+
+@pytest.mark.parametrize("label", [0.0, -1.0, 1e3, 1e300, -1e300, math.inf, math.nan])
+def test_certificate_rejects_far_labels_without_warnings(certificate_sets, label):
+    connected = certificate_sets["extremes"][0].take([0, 1, 2, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not spectral.labels_within(connected, [label] * 4, 1e-9).any()
+
+
+def test_certificate_uses_the_oracles_stacks(monkeypatch):
+    arrays = GraphArrays.of([path_graph(4)] * 10 + [cycle_graph(9)] * 5 + [path_graph(10)] * 3)
+    monkeypatch.setattr(spectral, "ORACLE_CHUNK", 8)
+    calls = count_solver_calls(monkeypatch)
+    truths = algebraic_connectivities(arrays)
+    shapes = []
+    factor = spectral._positive_definite
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return factor(stack)
+
+    monkeypatch.setattr(spectral, "_positive_definite", recording)
+    assert spectral.labels_within(arrays, truths, 1e-9).all()
+    # two shifted matrices per graph, padded like the solver's stack
+    assert shapes == [(2 * len(sizes), max(sizes), max(sizes)) for sizes in calls]
