@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import dataset_chunks, generate_dataset, load_dataset
+from .data import dataset_chunks, generate_dataset, load_dataset, read_lines
 from .graphs import GraphGenConfig, MAX_NODES, MIN_NODES, generate_connected_graph
 from .model import grad_check, init_params, load_params, save_params
 from .simulation import NodeEstimateReport, run_simulation
@@ -66,20 +66,24 @@ class RunManifest:
 
 def _load_config_file(path) -> dict:
     """``key -> (value, "path:line")``. A key given twice is a usage error
-    naming both lines, as a repeated key in a file header is."""
+    naming both lines, as a repeated key in a file header is, and a byte
+    outside ASCII one naming its line."""
+    try:
+        lines = read_lines(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     conf = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, where = key.strip(), f"{path}:{lineno}"
-            if key in conf:
-                raise UsageError(f"{where}: {key}: repeats {conf[key][1]}")
-            conf[key] = (value.strip(), where)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, where = key.strip(), f"{path}:{lineno}"
+        if key in conf:
+            raise UsageError(f"{where}: {key}: repeats {conf[key][1]}")
+        conf[key] = (value.strip(), where)
     return conf
 
 

@@ -109,6 +109,20 @@ def dataset_text(ds: Dataset) -> str:
     return "".join(dataset_chunks(ds))
 
 
+def read_lines(path) -> list[str]:
+    """The lines of the file at ``path``, as ``str.splitlines`` splits them.
+    Every file the package reads is ASCII: a byte outside it is a ValueError
+    at its ``path:line``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bad byte's line: the lines before it, plus the one it is on
+        line = len((raw[: exc.start].decode("ascii") + ".").splitlines())
+        raise ValueError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not ASCII") from exc
+
+
 def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(dataset_chunks(ds))
@@ -138,14 +152,15 @@ def _parse_body(body) -> tuple[Dataset, int]:
     """The dataset of the body lines up to the first one whose fields do not
     parse, and that line's position (``len(body)`` when all parse). A line
     parses when it reads ``n=<n> edges=<i-j,...> lambda2=<float>`` with n in
-    [MIN_NODES, MAX_NODES] and a finite label; its edges are checked
+    [MIN_NODES, MAX_NODES] and a finite label, and has no ``_``, which int()
+    and float() would take as a digit separator; its edges are checked
     afterwards, as arrays."""
     sizes, edge_fields, labels = [], [], []
     for _, line in body:
         try:
             n_tok, edge_tok, label_tok = line.split()
-            if not (n_tok.startswith("n=") and edge_tok.startswith("edges=")
-                    and label_tok.startswith("lambda2=")):
+            if "_" in line or not (n_tok.startswith("n=") and edge_tok.startswith("edges=")
+                                   and label_tok.startswith("lambda2=")):
                 break
             n, label = int(n_tok[2:]), float(label_tok[8:])
         except ValueError:
@@ -184,10 +199,20 @@ def load_dataset(path, verify: bool = True) -> Dataset:
     label - 1e-9 < lambda2 <= label + 1e-9 by two Cholesky factorizations of
     the Laplacian shifted by (c/n) J and by the label -/+ 1e-9 (Sylvester's
     law of inertia; see the spectral module), whose rounding can move the
-    decision by at most about 3e-11. Only the first graph that fails is
-    solved, for its error message."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    decision by at most delta, about 5e-13 (|label| + n): 3e-11 at n = 64 for
+    a label of a Laplacian's size.
+
+    The certificate also decides connectivity, so a passing file is not
+    searched: a graph passes when its label exceeds 2 * LABEL_TOL and is
+    certified, which is exactly "connected and certified".
+    - A certified label gives lambda2 > label - 1e-9 - delta, so one above
+      2e-9 gives lambda2 > 0: the graph is connected.
+    - A connected graph on n <= 64 nodes has lambda2 >= 2 (1 - cos(pi / n))
+      >= 2.4e-3 (M. Fiedler, Czech. Math. J. 23, 1973; the path attains it),
+      so its certified label is never at or below 2e-9.
+    Only the first graph that fails is searched, to tell which of the two it
+    breaks, and, if connected, solved, for its error message."""
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     head = lines[0].split()
@@ -202,6 +227,8 @@ def load_dataset(path, verify: bool = True) -> Dataset:
         count = int(meta["count"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: header missing count=") from exc
+    if "_" in meta["count"]:
+        raise ValueError(f"{path}:1: header count={meta['count']} is not a plain integer")
     body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
         raise ValueError(f"{path}: header says {count} graphs, found {len(body)}")
@@ -213,12 +240,11 @@ def load_dataset(path, verify: bool = True) -> Dataset:
         lineno, line = body[first]
         raise ValueError(f"{path}:{lineno}: {_line_error(line)}")
     if verify and len(ds):
-        connected = are_connected(ds.arrays)
-        ok = connected & labels_within(ds.arrays, ds.lambda2, LABEL_TOL)
+        ok = (ds.lambda2 > 2 * LABEL_TOL) & labels_within(ds.arrays, ds.lambda2, LABEL_TOL)
         if not ok.all():
             first = int(np.argmin(ok))
             where = f"{path}:{body[first][0]}"
-            if not connected[first]:
+            if not are_connected(ds.arrays.slice(first, first + 1))[0]:
                 raise ValueError(f"{where}: graph is not connected")
             raise ValueError(
                 f"{where}: label {ds.lambda2[first].item()} disagrees with oracle "

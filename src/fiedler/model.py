@@ -61,11 +61,16 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .data import read_lines
 from .graphs import Graph, GraphArrays
 from .spectral import algebraic_connectivity
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MODES = ("local", "global")
 
@@ -332,6 +337,10 @@ def build_stack(arrays: GraphArrays) -> GraphStack:
     ``indptr`` are built as int32, the dtype scipy keeps for them, so the
     matrix takes both without a copy or a scan of their contents.
     """
+    # scipy.sparse costs about 0.2 s and 20 MiB to import, which the commands
+    # that run no model (gen-data, a verified load) should not pay
+    import scipy.sparse as sp
+
     if not len(arrays):
         raise ValueError("need at least one graph")
     sizes = arrays.sizes
@@ -481,6 +490,8 @@ def _diagonal_block(adjacency: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
     """``adjacency[rows, rows]`` for ``rows`` cut at a graph boundary: no
     edge crosses the cut, so the block's CSR arrays are those rows' spans of
     the stack's, re-based by the cut (the data a view)."""
+    import scipy.sparse as sp
+
     lo, hi = adjacency.indptr[rows.start], adjacency.indptr[rows.stop]
     n = rows.stop - rows.start
     return sp.csr_matrix(
@@ -543,6 +554,8 @@ def _degree_table(params: ModelParams, adjacency: sp.csr_matrix):
     neighbours. With at least ``PART_MIN_ROWS`` rows on both sides, each
     product gives a table row the bits it gives the node rows of its degree.
     """
+    import scipy.sparse as sp
+
     degree = np.diff(adjacency.indptr)
     seen = np.bincount(degree) > 0
     degrees = np.flatnonzero(seen)
@@ -1134,8 +1147,7 @@ def _header_positive_int(path, meta: dict, key: str) -> int:
 def load_params(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint; returns (params, header metadata). The header must
     give H; ``mode=`` and ``T=`` may be missing from a file written elsewhere."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty checkpoint")
     tokens = lines[0].split()
@@ -1187,6 +1199,9 @@ def load_params(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{where}: tensor {name} has {len(rows)} of {n_rows} rows")
         data = []
         for lineno, row_line in enumerate(rows, start=pos + 2):
+            # float() would take "_" as a digit separator; %.17g never writes one
+            if "_" in row_line:
+                raise ValueError(f"{path}:{lineno}: tensor {name} has a '_' in a value")
             try:
                 row = [float(tok) for tok in row_line.split()]
             except ValueError as exc:

@@ -218,12 +218,13 @@ def test_eval_rejects_malformed_checkpoint(workspace, tmp_path, corrupt):
     "tensor bogus 1\n0\n",
     "tensor w_msg 2 2\n1 2\n3 4\n",
     "tensor\n",
-], ids=["unknown", "duplicate", "lone-header"])
+    "\u00e9\n",
+], ids=["unknown", "duplicate", "lone-header", "non-ascii"])
 def test_eval_rejects_bad_tensor_block(workspace, tmp_path, capsys, block):
     _, _, val_file, run_dir = workspace
     bad = tmp_path / "bad.txt"
     text = (run_dir / "checkpoint.txt").read_text()
-    bad.write_text(text + block)
+    bad.write_text(text + block, encoding="utf-8")
     assert run("eval", "--checkpoint", bad, "--data", val_file) == 2
     line = text.count("\n") + 1
     assert f"bad.txt:{line}: " in capsys.readouterr().err
@@ -427,6 +428,8 @@ def test_unknown_flag_is_usage_error():
      "mode=global\n", 1, "conf.txt:1: mode"),
     (["gen-data", "--out", "{tmp}/d.txt"], "count=5\nseed=3\ncount=7\n", 1,
      "conf.txt:3: count: repeats {tmp}/conf.txt:1"),
+    (["gen-data", "--out", "{tmp}/d.txt"], "seed=3\ncount=5\u00e9\n", 1,
+     "conf.txt:2: byte 0xc3 is not ASCII"),
 ], ids=["conf-seed", "conf-count", "conf-T", "conf-hidden", "conf-epsilon", "conf-mode",
         "conf-epochs", "conf-batch", "sizes", "drop-edges", "drop-edges-not-an-edge",
         "eval-T", "sweep-T", "simulate-T", "train-T", "gradcheck-hidden",
@@ -434,7 +437,7 @@ def test_unknown_flag_is_usage_error():
         "gradcheck-epsilon-nan", "gradcheck-epsilon-inf", "conf-epsilon-nan",
         "n-min-flag", "conf-n-min", "p-order-flags", "conf-p-min", "sweep-p-order",
         "simulate-n", "lr-nan", "lr-inf", "conf-lr-nan", "train-empty-data",
-        "conf-unknown-key", "conf-flag-only-key", "conf-repeated-key"])
+        "conf-unknown-key", "conf-flag-only-key", "conf-repeated-key", "conf-non-ascii"])
 def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, conf, code, where):
     _, train_file, val_file, run_dir = workspace
     (tmp_path / "nokey.json").write_text('{"config": {}}\n')
@@ -443,7 +446,7 @@ def test_bad_value_names_its_flag_or_line(workspace, tmp_path, capsys, argv, con
              "ckpt": run_dir / "checkpoint.txt"}
     argv = [a.format(**names) for a in argv]
     if conf is not None:
-        (tmp_path / "conf.txt").write_text(conf)
+        (tmp_path / "conf.txt").write_text(conf, encoding="utf-8")
         argv += ["--config", tmp_path / "conf.txt"]
     assert run(*argv) == code
     assert where.format(**names) in capsys.readouterr().err

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 import fiedler
 from conftest import count_solver_calls
-from fiedler import data, spectral
+from fiedler import data, graphs, spectral
 from fiedler.cli import main
 from fiedler.data import Dataset, dataset_text, generate_dataset, load_dataset, save_dataset
 from fiedler.graphs import MAX_NODES, MIN_NODES, Graph, GraphGenConfig, is_connected
@@ -152,6 +152,11 @@ def test_load_rejects_malformed_files(tmp_path):
                     + "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n" * 3)
     with pytest.raises(ValueError, match=r"junk\.txt: header repeats count=$"):
         load_dataset(path)
+    # int() reads "1_0" as 10; the writer never puts a "_" in a number
+    path.write_text("fiedler-dataset v1 count=1_0\n"
+                    + "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n" * 10)
+    with pytest.raises(ValueError, match=r"junk\.txt:1: header count=1_0 is not a plain integer$"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -221,6 +226,54 @@ def test_verified_load_solves_only_a_failing_graph(tmp_path, monkeypatch, small_
     with pytest.raises(ValueError, match=r"data\.txt:6: label 1\.0 disagrees with oracle"):
         load_dataset(path)
     assert len(calls) == 1 and len(calls[0]) == 1
+
+
+def test_verified_load_searches_only_a_failing_graph(tmp_path, monkeypatch, small_dataset):
+    """The label certificate decides connectivity too: a passing load runs no
+    breadth-first search, and a failing one searches its first bad graph."""
+    path = tmp_path / "data.txt"
+    save_dataset(small_dataset, path)
+    searched = []
+    reaches_all = graphs._reaches_all
+
+    def counting(n, ends):
+        searched.append(n)
+        return reaches_all(n, ends)
+
+    monkeypatch.setattr(graphs, "_reaches_all", counting)
+    load_dataset(path)
+    assert searched == []
+    lines = path.read_text().splitlines()
+    for index in (5, 9):
+        lines[index] = lines[index].rsplit("lambda2=", 1)[0] + "lambda2=1.0e+00"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"data\.txt:6: label 1\.0 disagrees with oracle"):
+        load_dataset(path)
+    assert len(searched) == 1
+
+
+# Disconnected graphs: no edge at all, two components, one isolated node.
+DISCONNECTED_LINES = [
+    "n=3 edges=",
+    "n=8 edges=0-1,0-2,1-2,2-3,4-5,4-7,5-6,6-7",
+    "n=64 edges=" + ",".join(f"{i}-{i + 1}" for i in range(62)),
+]
+
+
+@pytest.mark.parametrize("graph", DISCONNECTED_LINES, ids=["edgeless-3", "two-parts-8",
+                                                           "isolated-64"])
+def test_verified_load_rejects_disconnected_graphs_at_their_line(tmp_path, small_dataset,
+                                                                 graph):
+    """Whatever its label, even one the certificate could accept for
+    lambda2 = 0, a disconnected graph fails as not connected at its line."""
+    good = dataset_text(small_dataset).splitlines()
+    path = tmp_path / "data.txt"
+    for index, label in enumerate([0.0, 1e-9, -1e-9, 2e-9, 1e-3, 1.0], start=3):
+        lines = list(good)
+        lines[index] = f"{graph} lambda2={label:.12e}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"data\.txt:{index + 1}: graph is not connected$"):
+            load_dataset(path)
 
 
 def test_verify_is_independent_of_the_labeller(tmp_path, monkeypatch):
@@ -314,8 +367,12 @@ def test_empty_file_loads_as_empty_dataset(tmp_path):
     ("n=3 edges=0-1,2-2 lambda2=1.0", "malformed dataset line: self-loop"),
     ("n=3 edges=0-1,1-3 lambda2=1.0", "malformed dataset line: edge"),
     ("n=3 edges=1-2,0-1 lambda2=1.0", "edges must be"),
+    ("n=1_0 edges=0-1,1-2 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,1-2 lambda2=1.000_000_000_1", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,1-2 lambda2=1.0\u00e9", "byte 0xc3 is not ASCII"),
 ], ids=["extra-field", "field-order", "plus-sign", "three-digits", "negative", "triple",
-        "missing-label", "n-range", "self-loop", "endpoint", "order"])
+        "missing-label", "n-range", "self-loop", "endpoint", "order", "n-separator",
+        "label-separator", "non-ascii"])
 def test_load_rejects_each_bad_line_with_its_message(tmp_path, line, message):
     """Lines of the canonical layout keep the messages a line-by-line parse
     gave; anything else the writer never produces is rejected as well."""
@@ -324,7 +381,8 @@ def test_load_rejects_each_bad_line_with_its_message(tmp_path, line, message):
         "fiedler-dataset v1 count=3\n"
         "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n"
         f"{line}\n"
-        "n=3 edges=0-1,1-5 lambda2=1.000000000000e+00\n"
+        "n=3 edges=0-1,1-5 lambda2=1.000000000000e+00\n",
+        encoding="utf-8",
     )
     with pytest.raises(ValueError, match=rf"data\.txt:3: {re.escape(message)}"):
         load_dataset(path, verify=False)
@@ -356,7 +414,8 @@ def test_pipeline_does_not_import_csgraph(tmp_path):
     """``scipy.sparse.csgraph`` adds about 9 MiB of resident memory on
     import, so connectivity must not reach for it: a fresh process that
     imports fiedler, loads a verified file and evaluates on it leaves it
-    unimported."""
+    unimported. Nothing before the model needs ``scipy.sparse`` (about 20 MiB
+    and 0.2 s), so it is not imported until ``evaluate`` builds a stack."""
     path = tmp_path / "data.txt"
     save_dataset(generate_dataset(GraphGenConfig(seed=8), 12), path)
     script = (
@@ -366,6 +425,7 @@ def test_pipeline_does_not_import_csgraph(tmp_path):
         "from fiedler.model import init_params\n"
         "from fiedler.training import evaluate\n"
         f"ds = load_dataset({str(path)!r}, verify=True)\n"
+        "print('scipy.sparse' in sys.modules)\n"
         "evaluate(init_params(4, 0), ds, 2, 'global')\n"
         "print('scipy.sparse.csgraph' in sys.modules)\n"
     )
@@ -373,4 +433,4 @@ def test_pipeline_does_not_import_csgraph(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

@@ -1805,6 +1805,13 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     repeated.write_text("\n".join([text[0] + " T=7", *text[1:]]) + "\n")
     with pytest.raises(ValueError, match=r"repeated\.txt: header repeats T=$"):
         load_params(repeated)
+    # float() reads "0.0_0335..." as 0.00335...; %.17g never writes a "_"
+    separated = tmp_path / "separated.txt"
+    values = text[2].split()
+    values[0] = "0.0_033548624824817908"
+    separated.write_text("\n".join([*text[:2], " ".join(values), *text[3:]]) + "\n")
+    with pytest.raises(ValueError, match=r"separated\.txt:3: tensor w_msg has a '_' in a value$"):
+        load_params(separated)
 
 
 def _corrupt_checkpoint(tmp_path, edit):

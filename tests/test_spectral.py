@@ -450,11 +450,16 @@ def certificate_sets():
     return {name: (arrays, algebraic_connectivities(arrays)) for name, arrays in sets.items()}
 
 
+# label offsets from the oracle's value, and whether a label there is within 1e-9
+TOLERANCE_GRID = [(0.0, True), (0.999e-9, True), (-0.999e-9, True),
+                  (1.001e-9, False), (-1.001e-9, False)]
+FAR_LABELS = [0.0, -1.0, 1e3, 1e300, -1e300, math.inf, math.nan]
+
+
 @pytest.mark.parametrize("name", CERTIFICATE_SETS)
 def test_certificate_decides_the_tolerance_to_a_thousandth(certificate_sets, name):
     arrays, truths = certificate_sets[name]
-    for offset, within in [(0.0, True), (0.999e-9, True), (-0.999e-9, True),
-                           (1.001e-9, False), (-1.001e-9, False)]:
+    for offset, within in TOLERANCE_GRID:
         assert (spectral.labels_within(arrays, truths + offset, 1e-9) == within).all(), offset
 
 
@@ -465,7 +470,7 @@ def test_certificate_accepts_labels_as_stored(certificate_sets, name):
     assert spectral.labels_within(arrays, stored, 1e-9).all()
 
 
-@pytest.mark.parametrize("label", [0.0, -1.0, 1e3, 1e300, -1e300, math.inf, math.nan])
+@pytest.mark.parametrize("label", FAR_LABELS)
 def test_certificate_rejects_far_labels_without_warnings(certificate_sets, label):
     connected = certificate_sets["extremes"][0].take([0, 1, 2, 3])
     with warnings.catch_warnings():
@@ -487,5 +492,43 @@ def test_certificate_uses_the_oracles_stacks(monkeypatch):
 
     monkeypatch.setattr(spectral, "_positive_definite", recording)
     assert spectral.labels_within(arrays, truths, 1e-9).all()
-    # two shifted matrices per graph, padded like the solver's stack
-    assert shapes == [(2 * len(sizes), max(sizes), max(sizes)) for sizes in calls]
+    # two shifted matrices per graph, padded like the solver's stack, batch last
+    assert shapes == [(max(sizes), max(sizes), 2 * len(sizes)) for sizes in calls]
+
+
+def _positive_definite_rows(stack) -> np.ndarray:
+    """Reference: Cholesky on a ``(B, n, n)`` stack, row by row, each row
+    update summed over the strided ``(B, k, n - k)`` products."""
+    definite = np.ones(len(stack), dtype=bool)
+    for k in range(stack.shape[1]):
+        row = stack[:, k, k:]
+        row -= (stack[:, :k, k, None] * stack[:, :k, k:]).sum(axis=1)
+        definite &= row[:, 0] > 0.0
+        row /= np.sqrt(row[:, :1])
+    return definite
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_SETS)
+def test_batch_last_factorization_decides_as_the_reference(certificate_sets, monkeypatch,
+                                                           name):
+    """The batch-last factorization adds a row update's products in another
+    order than the (B, n, n) reference, so factor bits may differ; every
+    accept/reject decision on the certificate's own stacks may not."""
+    arrays, truths = certificate_sets[name]
+    factor = spectral._positive_definite
+    decisions = []
+
+    def compared(a):
+        want = _positive_definite_rows(a.transpose(2, 0, 1).copy())
+        got = factor(a)
+        assert np.array_equal(got, want)
+        decisions.append(got)
+        return got
+
+    monkeypatch.setattr(spectral, "_positive_definite", compared)
+    labels = [truths + offset for offset, _ in TOLERANCE_GRID]
+    labels += [np.full(len(truths), label) for label in FAR_LABELS]
+    for label in labels:
+        spectral.labels_within(arrays, label, 1e-9)
+    decided = np.concatenate(decisions)
+    assert decided.size == 2 * len(truths) * len(labels) and decided.any() and not decided.all()
