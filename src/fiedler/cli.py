@@ -514,86 +514,99 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+COMMANDS = {
+    "gen-data": (_cmd_gen_data, "generate a labeled random-graph dataset"),
+    "train": (_cmd_train, "train an estimator on labeled datasets"),
+    "eval": (_cmd_eval, "mean errors of a checkpoint on a dataset"),
+    "sweep": (_cmd_sweep, "error as a function of graph size"),
+    "simulate": (_cmd_simulate, "run agents on a random graph and report"),
+    "gradcheck": (_cmd_gradcheck, "compare gradients to finite differences"),
+}
+
+
+def build_parser(argv) -> _Parser:
+    """The parser of one ``fiedler`` call. Every command is registered with
+    its name and help, so the top-level help and the errors for a missing or
+    unknown command list them all; options are added only to the command
+    that the first non-option token of ``argv`` names, since only that one
+    can run, and each ``add_argument`` takes about 14 us."""
     parser = _Parser(prog="fiedler", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help) in COMMANDS.items():
+        sub.add_parser(command, help=help)
+    name = next((token for token in argv if not token.startswith("-")), None)
+    if name not in COMMANDS:
+        return parser
+    p = sub.choices[name]
 
-    def option(p, flag, type, default, **kwargs):
+    def option(flag, type, default, **kwargs):
         """A flag a config file may also set, under its name without ``--``."""
         action = p.add_argument(flag, type=type, **kwargs)
         p.get_default("options").append((action, flag[2:], default))
 
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        p.set_defaults(func=func, options=[])
-        option(p, "--seed", int, _env_seed, help="RNG seed (fallback: FIEDLER_SEED, then 0)")
-        return p
+    p.add_argument("--config", help="key=value config file; flags override it")
+    p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    p.set_defaults(func=COMMANDS[name][0], options=[])
+    option("--seed", int, _env_seed, help="RNG seed (fallback: FIEDLER_SEED, then 0)")
 
-    p = command("gen-data", _cmd_gen_data, "generate a labeled random-graph dataset")
-    option(p, "--count", _positive_int, 1000)
-    option(p, "--n-min", int, 9)
-    option(p, "--n-max", int, 11)
-    option(p, "--p-min", float, 0.16)
-    option(p, "--p-max", float, 0.95)
-    p.add_argument("--out", required=True)
-
-    p = command("train", _cmd_train, "train an estimator on labeled datasets")
-    p.add_argument("--train-data", required=True)
-    p.add_argument("--val-data", required=True)
-    option(p, "--T", _positive_int, 4, dest="rounds")
-    option(p, "--mode", str, "local", choices=("local", "global"))
-    option(p, "--hidden", _positive_int, 32)
-    option(p, "--epochs", _positive_int, 20)
-    option(p, "--lr", _nonnegative_float, 1e-3, help="Adam step size; 0 trains nothing")
-    option(p, "--batch", _positive_int, 256)
-    p.add_argument("--out-dir", required=True)
-
-    p = command("eval", _cmd_eval, "mean errors of a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    option(p, "--T", _positive_int, None, dest="rounds")
-    p.add_argument("--mode", choices=("local", "global"))
-    p.add_argument("--hidden", type=_positive_int)
-    p.add_argument("--out")
-
-    p = command("sweep", _cmd_sweep, "error as a function of graph size")
-    p.add_argument("--checkpoint", required=True)
-    option(p, "--sizes", _parse_sizes, None, help="e.g. 9,10,11 or 7..13")
-    option(p, "--per-size", _positive_int, 1000)
-    option(p, "--p-min", float, 0.16)
-    option(p, "--p-max", float, 0.95)
-    option(p, "--T", _positive_int, None, dest="rounds")
-    p.add_argument("--mode", choices=("local", "global"))
-    p.add_argument("--hidden", type=_positive_int)
-    p.add_argument("--train-manifest")
-    p.add_argument("--out", required=True)
-
-    p = command("simulate", _cmd_simulate, "run agents on a random graph and report")
-    p.add_argument("--checkpoint", required=True)
-    option(p, "--n", int, 8)
-    option(p, "--T", _positive_int, None, dest="rounds")
-    option(p, "--p-min", float, 0.16)
-    option(p, "--p-max", float, 0.95)
-    p.add_argument("--drop-edges", help="edges to silence, e.g. 0-1,2-3")
-    p.add_argument("--drop-from", type=_positive_int,
-                   help="first round the drop applies to")
-    p.add_argument("--trace", help="write per-message trace CSV here")
-    p.add_argument("--out", help="write the per-node report CSV here")
-
-    p = command("gradcheck", _cmd_gradcheck, "compare gradients to finite differences")
-    option(p, "--hidden", _positive_int, 8)
-    option(p, "--epsilon", _positive_float, 1e-5)
-    p.add_argument("--corrupt", action="store_true",
-                   help="damage one gradient entry (detector self-test)")
-
+    if name == "gen-data":
+        option("--count", _positive_int, 1000)
+        option("--n-min", int, 9)
+        option("--n-max", int, 11)
+        option("--p-min", float, 0.16)
+        option("--p-max", float, 0.95)
+        p.add_argument("--out", required=True)
+    elif name == "train":
+        p.add_argument("--train-data", required=True)
+        p.add_argument("--val-data", required=True)
+        option("--T", _positive_int, 4, dest="rounds")
+        option("--mode", str, "local", choices=("local", "global"))
+        option("--hidden", _positive_int, 32)
+        option("--epochs", _positive_int, 20)
+        option("--lr", _nonnegative_float, 1e-3, help="Adam step size; 0 trains nothing")
+        option("--batch", _positive_int, 256)
+        p.add_argument("--out-dir", required=True)
+    elif name == "eval":
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--data", required=True)
+        option("--T", _positive_int, None, dest="rounds")
+        p.add_argument("--mode", choices=("local", "global"))
+        p.add_argument("--hidden", type=_positive_int)
+        p.add_argument("--out")
+    elif name == "sweep":
+        p.add_argument("--checkpoint", required=True)
+        option("--sizes", _parse_sizes, None, help="e.g. 9,10,11 or 7..13")
+        option("--per-size", _positive_int, 1000)
+        option("--p-min", float, 0.16)
+        option("--p-max", float, 0.95)
+        option("--T", _positive_int, None, dest="rounds")
+        p.add_argument("--mode", choices=("local", "global"))
+        p.add_argument("--hidden", type=_positive_int)
+        p.add_argument("--train-manifest")
+        p.add_argument("--out", required=True)
+    elif name == "simulate":
+        p.add_argument("--checkpoint", required=True)
+        option("--n", int, 8)
+        option("--T", _positive_int, None, dest="rounds")
+        option("--p-min", float, 0.16)
+        option("--p-max", float, 0.95)
+        p.add_argument("--drop-edges", help="edges to silence, e.g. 0-1,2-3")
+        p.add_argument("--drop-from", type=_positive_int,
+                       help="first round the drop applies to")
+        p.add_argument("--trace", help="write per-message trace CSV here")
+        p.add_argument("--out", help="write the per-node report CSV here")
+    else:  # gradcheck
+        option("--hidden", _positive_int, 8)
+        option("--epsilon", _positive_float, 1e-5)
+        p.add_argument("--corrupt", action="store_true",
+                       help="damage one gradient entry (detector self-test)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         _resolve_options(args)

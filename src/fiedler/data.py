@@ -41,8 +41,20 @@ TEXT_CHUNK = 4096
 # "i-j" for every endpoint pair, at index i * MAX_NODES + j.
 _EDGE_TEXT = tuple(f"{i}-{j}" for i in range(MAX_NODES) for j in range(MAX_NODES))
 
-# The edge field of a line: i-j pairs of one- or two-digit endpoints.
-_EDGE_FIELD = re.compile(r"(?:[0-9]{1,2}-[0-9]{1,2}(?:,[0-9]{1,2}-[0-9]{1,2})*)?")
+# A graph line as the writer prints it, up to the whitespace between fields:
+# n, the endpoints of the i-j pairs and the label have no "+", "_" or leading
+# zero, but for the label's "-" and its exponent's sign. The groups are n, the
+# edge list and the label. The label's first form is the writer's %.12e,
+# which matches faster than the second, any other decimal. An endpoint's
+# leading zero is caught from the length of the edge text (_parse_body): a
+# stricter endpoint pattern made the match a third slower.
+_EDGE = "[0-9]{1,2}-[0-9]{1,2}"
+_LABEL = r"-?[1-9]\.[0-9]{12}e[+-][0-9]{2,3}|-?(?:0|[1-9][0-9]*)(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+_LINE = re.compile(
+    rf"\s*n=([1-9][0-9]?)\s+edges=((?:{_EDGE}(?:,{_EDGE})*)?)\s+lambda2=({_LABEL})\s*"
+)
+# A zero that starts a number of two digits.
+_PADDED = re.compile(r"(?<![0-9])0[0-9]")
 
 
 class Dataset:
@@ -149,32 +161,30 @@ def _line_error(line: str) -> str:
 
 
 def _parse_body(body) -> tuple[Dataset, int]:
-    """The dataset of the body lines up to the first one whose fields do not
-    parse, and that line's position (``len(body)`` when all parse). A line
-    parses when it reads ``n=<n> edges=<i-j,...> lambda2=<float>`` with n in
-    [MIN_NODES, MAX_NODES] and a finite label, and has no ``_``, which int()
-    and float() would take as a digit separator; its edges are checked
-    afterwards, as arrays."""
-    sizes, edge_fields, labels = [], [], []
-    for _, line in body:
-        try:
-            n_tok, edge_tok, label_tok = line.split()
-            if "_" in line or not (n_tok.startswith("n=") and edge_tok.startswith("edges=")
-                                   and label_tok.startswith("lambda2=")):
-                break
-            n, label = int(n_tok[2:]), float(label_tok[8:])
-        except ValueError:
-            break
-        if not (MIN_NODES <= n <= MAX_NODES and math.isfinite(label)
-                and _EDGE_FIELD.fullmatch(edge_tok, 6)):
-            break
-        sizes.append(n)
-        edge_fields.append(edge_tok[6:])
-        labels.append(label)
+    """The dataset of the body lines up to the first one that does not parse,
+    and that line's position (``len(body)`` when all parse). A line parses
+    when it has the writer's layout (_LINE) with no endpoint written with a
+    leading zero, n lies in [MIN_NODES, MAX_NODES] and the label is finite.
+    The lines are matched in one ``map`` and their values checked as arrays,
+    so the first failure found is cut off by parsing again up to it; the
+    edges are checked afterwards, as arrays."""
+    found = list(map(_LINE.fullmatch, [line for _, line in body]))
+    parsed = found.index(None) if None in found else len(found)
+    n_texts, edge_fields, label_texts = (
+        zip(*[fields.groups() for fields in found[:parsed]]) if parsed else ((), (), ()))
+    sizes = np.array(list(map(int, n_texts)), dtype=np.intp)
+    labels = np.array(list(map(float, label_texts)))
     flat = ",".join(filter(None, edge_fields)).replace("-", ",")
     ends = np.fromstring(flat, dtype=np.intp, sep=",") if flat else np.empty(0, np.intp)
+    bad = (sizes < MIN_NODES) | (sizes > MAX_NODES) | ~np.isfinite(labels)
+    # The writer prints one character per digit and per separator; text any
+    # longer has an endpoint with a leading zero.
+    if flat and len(flat) > 2 * ends.size - 1 + np.count_nonzero(ends >= 10):
+        bad |= [_PADDED.search(field) is not None for field in edge_fields]
+    if bad.any():
+        return _parse_body(body[: int(bad.argmax())])
     arrays = GraphArrays.from_counts(sizes, [field.count("-") for field in edge_fields], ends)
-    return Dataset(arrays, labels), len(sizes)
+    return Dataset(arrays, labels), parsed
 
 
 def _bad_edges(arrays: GraphArrays) -> np.ndarray:
@@ -227,7 +237,7 @@ def load_dataset(path, verify: bool = True) -> Dataset:
         count = int(meta["count"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: header missing count=") from exc
-    if "_" in meta["count"]:
+    if meta["count"] != str(abs(count)):  # a sign, a leading zero or a "_"
         raise ValueError(f"{path}:1: header count={meta['count']} is not a plain integer")
     body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:

@@ -34,6 +34,7 @@ class Agent:
 class RoundRecord:
     messages: list            # (sender, receiver, payload) in delivery order
     states: np.ndarray        # post-round agent states, row per node
+    dropped: list             # (sender, receiver, payload) not delivered, in send order
 
 
 @dataclass
@@ -44,13 +45,18 @@ class RoundTrace:
         return sum(len(r.messages) for r in self.rounds)
 
     def csv_text(self) -> str:
-        """``round,sender,receiver,m0..m{H-1}``: one row per delivered message."""
+        """``round,sender,receiver,delivered,m0..m{H-1}``: one row per send, in
+        send order (sender, then receiver, ascending), ``delivered`` 1 for a
+        delivered message and 0 for a dropped one, which carries the payload
+        that was not delivered."""
         hidden = self.rounds[0].states.shape[1]
-        lines = ["round,sender,receiver," + ",".join(f"m{k}" for k in range(hidden))]
+        lines = ["round,sender,receiver,delivered," + ",".join(f"m{k}" for k in range(hidden))]
         for rnd, record in enumerate(self.rounds, start=1):
-            for sender, receiver, payload in record.messages:
+            sends = [(sender, receiver, 1, payload) for sender, receiver, payload in record.messages]
+            sends += [(sender, receiver, 0, payload) for sender, receiver, payload in record.dropped]
+            for sender, receiver, delivered, payload in sorted(sends, key=lambda send: send[:2]):
                 payload_text = ",".join(f"{v:.17g}" for v in payload)
-                lines.append(f"{rnd},{sender},{receiver},{payload_text}")
+                lines.append(f"{rnd},{sender},{receiver},{delivered},{payload_text}")
         return "\n".join(lines) + "\n"
 
 
@@ -62,8 +68,9 @@ def run_simulation(
     drop_from: int = 1,
 ) -> tuple[np.ndarray, RoundTrace]:
     """Per-agent estimates after ``rounds`` synchronous message rounds, and the
-    trace of every delivered message. The edges in ``drop_edges`` (``(i, j)``
-    pairs in either order) deliver nothing from round ``drop_from`` on."""
+    trace of every send, delivered or dropped. The edges in ``drop_edges``
+    (``(i, j)`` pairs in either order) deliver nothing from round
+    ``drop_from`` on."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     dropped = frozenset((min(i, j), max(i, j)) for i, j in drop_edges)
@@ -81,12 +88,13 @@ def run_simulation(
     for rnd in range(1, rounds + 1):
         # Send phase: every agent transforms its own state and posts it to
         # each neighbor's inbox. No agent reads any state but its own.
-        records = []
+        records, dropped_sends = [], []
         for agent in agents:
             payload = agent.params.w_msg @ agent.state
             for w in nbrs[agent.node]:
                 edge = (min(agent.node, w), max(agent.node, w))
                 if rnd >= drop_from and edge in dropped:
+                    dropped_sends.append((agent.node, w, payload))
                     continue
                 agents[w].inbox.append((agent.node, payload))
                 records.append((agent.node, w, payload))
@@ -103,6 +111,7 @@ def run_simulation(
             RoundRecord(
                 messages=records,
                 states=np.array([agent.state for agent in agents]),
+                dropped=dropped_sends,
             )
         )
 

@@ -31,9 +31,10 @@ A stacked rotation is 33 numpy calls on views and buffers that a sweep plan
 (_sweep_plan) builds once per stack layout: the rotation parameters of every
 matrix, then its two new rows, written back with one masked copy, and the two
 columns copied from those rows unmasked (a matrix that did not rotate is
-exactly symmetric, so its columns already equal its rows). That costs about 15 us per rotation for a stack of 100 matrices of
-n 11, almost all of it call overhead whatever the stack's size, against a few
-us for a small matrix in Python floats.
+exactly symmetric, so its columns already equal its rows). A rotation costs
+about 20 us for a stack of 100 matrices of n 9..11 (one BLAS thread, a 2-core
+Xeon machine), almost all of it call overhead whatever the stack's size,
+against a few us for a small matrix in Python floats.
 
 The oracle solves graphs of different sizes in one stack, each Laplacian
 zero-padded to the stack's largest n (``graphs.laplacian_stack``), and a
@@ -254,57 +255,67 @@ def _sweep_plan(a):
     return pairs, work
 
 
-def _rotate(pair, work, rotate_tol) -> None:
+def _rotate(pair, work, rotate_tol, absolute=np.absolute, greater=np.greater,
+            count_nonzero=np.count_nonzero, add=np.add, subtract=np.subtract,
+            multiply=np.multiply, divide=np.divide, sqrt=np.sqrt, copysign=np.copysign,
+            copyto=np.copyto) -> None:
     """Apply a plan's (p, q) rotation (``_sweep_plan``), in place, to every
     matrix whose |a[p, q]| exceeds its entry of rotate_tol; the others stay
     bitwise unchanged. The stack must be exactly symmetric, and stays so.
 
     Every lane computes the rotation parameters; a lane that does not rotate
     may divide by zero or overflow there, and its values are never written,
-    so the caller runs this under ``np.errstate(all="ignore")``."""
+    so the caller runs this under ``np.errstate(all="ignore")``.
+
+    The numpy functions are bound once, as default arguments, and each takes
+    its output positionally: looking up ``np.<name>`` and parsing ``out=``
+    cost about 6% of a rotation's time."""
     apq, app, aqq, row_p, row_q, rows, cols, new_pp, new_qq, new_zeros = pair
     new, new_p, new_q, rotate, theta, t, c, one, zero = work
-    np.greater(np.abs(apq, out=theta), rotate_tol, out=rotate)
-    count = np.count_nonzero(rotate)
+    greater(absolute(apq, theta), rotate_tol, rotate)
+    count = count_nonzero(rotate)
     if not count:
         return
     # Each entry takes the operations of the textbook formulas in their order;
     # only the operands of a sum or product are swapped, 2 apq is apq + apq,
     # and t takes the sign of theta by copysign, all of which is exact.
-    np.add(apq, apq, out=theta)
-    np.subtract(aqq, app, out=t)
-    np.divide(t, theta, out=theta)
-    np.multiply(theta, theta, out=t)
+    add(apq, apq, theta)
+    subtract(aqq, app, t)
+    divide(t, theta, theta)
+    multiply(theta, theta, t)
     t += one
-    np.sqrt(t, out=t)
-    t += np.abs(theta, out=c)
-    np.divide(one, t, out=t)
+    sqrt(t, t)
+    t += absolute(theta, c)
+    divide(one, t, t)
     # as with "t = -t if theta < 0", t stays positive at theta = -0.0
-    np.copysign(t, np.add(theta, zero, out=c), out=t)
-    np.multiply(t, t, out=c)
+    copysign(t, add(theta, zero, c), t)
+    multiply(t, t, c)
     c += one
-    np.sqrt(c, out=c)
-    np.divide(one, c, out=c)
-    s = np.multiply(t, c, out=theta)
+    sqrt(c, c)
+    divide(one, c, c)
+    s = multiply(t, c, theta)
     c += one
-    tau = np.divide(s, c, out=c)
-    t_apq = np.multiply(t, apq, out=t)
+    tau = divide(s, c, c)
+    t_apq = multiply(t, apq, t)
 
     # new = (new_p, new_q) = (r_p - s (r_q + tau r_p), r_q + s (r_p - tau r_q))
-    np.multiply(rows, tau, out=new)
+    multiply(rows, tau, new)
     new_p += row_q
-    np.subtract(row_p, new_q, out=new_q)
+    subtract(row_p, new_q, new_q)
     new *= s
-    np.subtract(row_p, new_p, out=new_p)
+    subtract(row_p, new_p, new_p)
     new_q += row_q
-    np.subtract(app, t_apq, out=new_pp)
-    np.add(aqq, t_apq, out=new_qq)
+    subtract(app, t_apq, new_pp)
+    add(aqq, t_apq, new_qq)
     new_zeros.fill(0.0)
-    every = count == rotate.size
-    np.copyto(rows, new, where=True if every else rotate)
-    # A matrix that did not rotate is exactly symmetric, so its columns p and
-    # q already equal its rows p and q, and the columns need no mask.
-    np.copyto(cols, new if every else rows)
+    if count == rotate.size:
+        copyto(rows, new)
+        copyto(cols, new)
+    else:
+        copyto(rows, new, where=rotate)
+        # A matrix that did not rotate is exactly symmetric, so its columns p
+        # and q already equal its rows p and q, and the columns need no mask.
+        copyto(cols, rows)
 
 
 def _stacks(sizes) -> Iterator[np.ndarray]:

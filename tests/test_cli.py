@@ -278,9 +278,9 @@ def test_simulate_report_and_trace(workspace, tmp_path, capsys):
     trace_lines = trace.read_text().splitlines()
     ds_manifest = json.loads((report.parent / "report.csv.manifest.json").read_text())
     assert ds_manifest["command"] == "simulate"
-    # round,sender,receiver + H payload columns; T * 2|E| message rows
-    assert trace_lines[0].split(",")[:3] == ["round", "sender", "receiver"]
-    assert len(trace_lines[0].split(",")) == 3 + 8
+    # round,sender,receiver,delivered + H payload columns; T * 2|E| message rows
+    assert trace_lines[0].split(",")[:4] == ["round", "sender", "receiver", "delivered"]
+    assert len(trace_lines[0].split(",")) == 4 + 8
     body = trace_lines[1:]
     # the simulated graph is reproducible from the manifest settings
     cfg = GraphGenConfig(
@@ -292,6 +292,7 @@ def test_simulate_report_and_trace(workspace, tmp_path, capsys):
     assert len(body) == 3 * 2 * len(g.edges)
     rounds = {line.split(",")[0] for line in body}
     assert rounds == {"1", "2", "3"}
+    assert {line.split(",")[3] for line in body} == {"1"}  # nothing was dropped
 
 
 def test_simulate_rejects_global_checkpoint(tmp_path):
@@ -311,13 +312,18 @@ def test_simulate_drop_edges(workspace, tmp_path):
     assert run("simulate", "--checkpoint", ckpt, "--n", 6, "--T", rounds, "--seed", 4,
                "--drop-edges", ",".join(f"{i}-{j}" for i, j in dropped),
                "--drop-from", drop_from, "--trace", trace) == 0
-    # the trace holds only delivered messages
+    # the trace holds every send, each dropped one marked delivered=0 with
+    # the payload its sender would have delivered
     rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
-    assert len(rows) == (rounds * 2 * len(g.edges)
-                         - 2 * len(dropped) * (rounds - drop_from + 1))
+    assert len(rows) == rounds * 2 * len(g.edges)
     quiet = set(dropped) | {(j, i) for i, j in dropped}
-    assert not [r for r in rows
-                if int(r[0]) >= drop_from and (int(r[1]), int(r[2])) in quiet]
+    silenced = {(rnd, i, j) for rnd in range(drop_from, rounds + 1) for i, j in quiet}
+    assert {(int(r[0]), int(r[1]), int(r[2])) for r in rows if r[3] == "0"} == silenced
+    assert {r[3] for r in rows} == {"0", "1"}
+    payloads = {(r[0], r[1]): r[4:] for r in rows if r[3] == "1"}
+    for r in rows:
+        if r[3] == "0":  # a node sends one payload to all its neighbours in a round
+            assert r[4:] == payloads[r[0], r[1]]
     # an edge that does not exist is a usage error
     assert run("simulate", "--checkpoint", ckpt,
                "--n", 6, "--T", 2, "--seed", 4, "--drop-edges", "0-0") == 1
@@ -371,6 +377,58 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_unknown_flag_is_usage_error():
     assert run("gen-data", "--frobnicate") == 1
+
+
+COMMANDS = ["gen-data", "train", "eval", "sweep", "simulate", "gradcheck"]
+
+# The output of each help, of --version, and of a call without a command or
+# with an unknown one, as argparse of the Python version named in the file
+# lays it out at 80 columns.
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text())
+
+
+def run_captured(argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)`` in this process; a
+    help or --version exits through argparse's SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(list(sys.version_info[:2]) != CLI_TEXT["python"],
+                    reason="argparse lays help out differently in other Python versions")
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS),
+                                  ["--version"], [], ["bogus"]],
+                         ids=lambda argv: " ".join(["fiedler", *argv]))
+def test_cli_text_is_pinned(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = CLI_TEXT["cases"][" ".join(["fiedler", *argv])]
+    assert run_captured(argv) == (want["code"], want["stdout"], want["stderr"])
+
+
+def test_a_command_builds_only_its_own_options(monkeypatch, tmp_path):
+    """main builds its parser from its argv: every command is listed, but
+    only the one that runs has options beyond -h."""
+    built = []
+    build = fiedler.cli.build_parser
+
+    def spy(argv):
+        built.append(build(argv))
+        return built[-1]
+
+    monkeypatch.setattr(fiedler.cli, "build_parser", spy)
+    assert run("gen-data", "--count", 2, "--n-min", 4, "--n-max", 4,
+               "--out", tmp_path / "d.txt") == 0
+    (sub,) = built[0]._subparsers._group_actions
+    assert list(sub.choices) == COMMANDS
+    flags = {name: [a.option_strings[-1] for a in p._actions] for name, p in sub.choices.items()}
+    assert flags.pop("gen-data") == ["--help", "--config", "--force", "--seed", "--count",
+                                     "--n-min", "--n-max", "--p-min", "--p-max", "--out"]
+    assert flags == dict.fromkeys(COMMANDS[1:], ["--help"])
 
 
 @pytest.mark.parametrize("argv, conf, code, where", [

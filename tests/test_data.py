@@ -157,6 +157,13 @@ def test_load_rejects_malformed_files(tmp_path):
                     + "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n" * 10)
     with pytest.raises(ValueError, match=r"junk\.txt:1: header count=1_0 is not a plain integer$"):
         load_dataset(path)
+    # nor a sign or a leading zero
+    for count in ("+1", "01", "-0"):
+        path.write_text(f"fiedler-dataset v1 count={count}\n"
+                        "n=3 edges=0-1,1-2 lambda2=1.000000000000e+00\n")
+        with pytest.raises(ValueError, match=rf"junk\.txt:1: header count={re.escape(count)} "
+                                             "is not a plain integer$"):
+            load_dataset(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -370,9 +377,19 @@ def test_empty_file_loads_as_empty_dataset(tmp_path):
     ("n=1_0 edges=0-1,1-2 lambda2=1.0", "malformed dataset line: expected n=<n>"),
     ("n=3 edges=0-1,1-2 lambda2=1.000_000_000_1", "malformed dataset line: expected n=<n>"),
     ("n=3 edges=0-1,1-2 lambda2=1.0\u00e9", "byte 0xc3 is not ASCII"),
+    ("n=+3 edges=0-1,1-2 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=03 edges=0-1,1-2 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,01-2 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,1-02 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=00-1,1-2 lambda2=1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,1-2 lambda2=+1.0", "malformed dataset line: expected n=<n>"),
+    ("n=3 edges=0-1,1-2 lambda2=01.0", "malformed dataset line: expected n=<n>"),
+    ("n=+03 edges=00-01,01-02 lambda2=+1.000000000000e+00",
+     "malformed dataset line: expected n=<n>"),
 ], ids=["extra-field", "field-order", "plus-sign", "three-digits", "negative", "triple",
         "missing-label", "n-range", "self-loop", "endpoint", "order", "n-separator",
-        "label-separator", "non-ascii"])
+        "label-separator", "non-ascii", "n-sign", "n-zero", "start-zero", "end-zero",
+        "first-zero", "label-sign", "label-zero", "all-padded"])
 def test_load_rejects_each_bad_line_with_its_message(tmp_path, line, message):
     """Lines of the canonical layout keep the messages a line-by-line parse
     gave; anything else the writer never produces is rejected as well."""

@@ -61,9 +61,12 @@ def test_empty_drop_set_is_identity():
 def test_dropping_everything_isolates_all_agents():
     params = init_params(8, seed=6)
     g = rand_graph(713)
-    est, _ = run_simulation(params, g, 4, set(g.edges), 1)
+    est, trace = run_simulation(params, g, 4, set(g.edges), 1)
     # every agent then evolves identically on an empty inbox
     assert np.max(np.abs(est - est[0])) == 0.0
+    # the message count is of delivered messages; the trace keeps every send
+    assert trace.message_count() == 0
+    assert all(len(record.dropped) == 2 * len(g.edges) for record in trace.rounds)
 
 
 def test_drop_requires_subset_of_edges():
