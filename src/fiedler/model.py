@@ -10,28 +10,30 @@ reverse pass is written out by hand so it can be checked against finite
 differences coordinate by coordinate.
 
 Any number of graphs can be processed as one block-diagonal stack; the public
-single-graph API is a stack of size one. A stack is built from ``GraphArrays``:
-every edge row is shifted by its graph's first node row, and the adjacency is
-built from all edges at once. Without a cache the GRU rounds run in reused buffers; with
-one, every round's gates, candidate, reset state and new state are views into
-a single block allocated once per pass. Either way the arithmetic follows the
-formulas' operation order, so every value is bitwise that of plain allocating
-numpy expressions. Every node starts in the same state, so a stack of 64 or
-more rows runs the first round once per distinct node degree and copies the
-rows out. That table gives every value the bits of the direct round at
-H <= 64 (verified with OpenBLAS 0.3.31 at one and two threads), not at every
-H: at H=100 with two BLAS threads, and at H=201 even with one, estimates
-differ from the direct round's in their last bits. No graph reads another
-graph's rows, so a large stack runs its GRU rounds as two row parts cut at a
-graph boundary, the second on a worker thread, and its reverse pass runs each
-round's row-local chain in the same two parts while the two threads share the
-round's weight-gradient sums over all rows, each sum the whole-stack product
-added in round order. Every product a part makes has at least 64 rows and
-runs BLAS's NT kernel, so the split gives the one-part bits wherever BLAS
-gives a row the same bits in every such product: on a 256-graph batch, at
-every H up to 260 with one OpenBLAS 0.3.31 thread, and with two at every H up
-to 192 and at the multiples of 8 beyond; at the other H from 193 on, the
-parts' states, and so the gradients, differ in their last bits.
+single-graph API is a stack of size one. A stack is built from
+``GraphArrays``: every edge row is shifted by its graph's first node row, and
+the adjacency is built from all edges at once. Without a cache the GRU rounds
+run in reused buffers; with one, every round's gates, candidate and new state
+are views into a single block allocated once per pass, and the reset state
+``r * state``, which the reverse pass recomputes, goes into one reused
+buffer. Either way the arithmetic follows the formulas' operation order, so
+every value is bitwise that of plain allocating numpy expressions. Every node
+starts in the same state, so a stack of 64 or more rows runs the first round
+once per distinct node degree and copies the rows out. That table gives every
+value the bits of the direct round at H <= 64 (verified with OpenBLAS 0.3.31
+at one and two threads), not at every H: at H=100 with two BLAS threads, and
+at H=201 even with one, estimates differ from the direct round's in their
+last bits. No graph reads another graph's rows, so a large stack runs its GRU
+rounds as two row parts cut at a graph boundary, the second on a worker
+thread, and its reverse pass runs each round's row-local chain in the same
+two parts while the two threads share the round's weight-gradient sums over
+all rows, each sum the whole-stack product added in round order. Every
+product a part makes has at least 64 rows and runs BLAS's NT kernel, so the
+split gives the one-part bits wherever BLAS gives a row the same bits in
+every such product: on a 256-graph batch, at every H up to 260 with one
+OpenBLAS 0.3.31 thread, and with two at every H up to 192 and at the
+multiples of 8 beyond; at the other H from 193 on, the parts' states, and so
+the gradients, differ in their last bits.
 
 The finite-difference check runs its probes in batches: a stack of copies of
 one graph, each copy with its own parameter set, where every weight product is
@@ -57,6 +59,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -370,7 +373,9 @@ def build_stack(arrays: GraphArrays) -> GraphStack:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward pass, in stacked (node-row) layout."""
+    """The intermediates of one forward pass that the reverse pass reads, in
+    stacked (node-row) layout. The reset state ``r * state`` is not kept:
+    ``backward_stack`` recomputes it from ``reset_gates`` and ``states``."""
 
     mode: str
     rounds: int
@@ -380,7 +385,6 @@ class ForwardCache:
     update_gates: list    # z
     reset_gates: list     # r
     candidates: list      # c
-    reset_states: list    # r * state, the u_c input
     readout_input: np.ndarray
     readout_preact: np.ndarray
     readout_hidden: np.ndarray
@@ -409,11 +413,14 @@ def _gru_step(
     Sets ``out`` to the new states and ``z``, ``r``, ``c``, ``reset_state``
     to the update gate, reset gate, candidate and ``r * states``; ``scratch``
     is overwritten. Every buffer has the shape of ``states``, is C-contiguous
-    and aliases no other argument. The arithmetic is, operation for operation,
-    ``sigmoid(a) = 1 / (1 + exp(-a))`` of ``(messages @ w.T + states @ u.T) + b``
-    per gate and ``(1 - z) * states + z * c``. ``exp`` overflows to inf for
-    very negative gate inputs, giving the correct limit 0; the caller silences
-    that warning once per pass.
+    and aliases no other argument, except that ``reset_state`` may be ``r``:
+    nothing reads the reset gate after ``r * states``, so a caller that keeps
+    no gates lets the product overwrite it. The arithmetic is, operation for
+    operation, ``sigmoid(a) = 1 / (1 + exp(-a))`` of
+    ``(messages @ w.T + states @ u.T) + b`` per gate and
+    ``(1 - z) * states + z * c``. ``exp`` overflows to inf for very negative
+    gate inputs, giving the correct limit 0; the caller silences that warning
+    once per pass.
 
     States are ``(rows, H)`` with ``(H, H)`` weights and ``(H,)`` biases, or
     ``(K, rows, H)`` with the ``(K, H, H)`` weights and ``(K, 1, H)`` biases
@@ -525,12 +532,12 @@ def _run_rounds(params: ModelParams, adjacency: sp.csr_matrix, rows: slice, step
     """Every round of one row part, written into ``rows`` of each buffer.
 
     ``adjacency`` is the part's diagonal block and ``steps`` holds per round
-    the whole-stack arrays (input state, message or None, z, r, c,
-    ``r * state``, new state). A part reads no row outside its own, so two
-    parts may run at the same time.
+    the whole-stack arrays (input state, ``r * state``, message or None, z,
+    r, c, new state). A part reads no row outside its own, so two parts may
+    run at the same time.
     """
     scratch = np.empty((rows.stop - rows.start, params.hidden_size))
-    for x, m, z, r, c, rs, out in steps:
+    for x, rs, m, z, r, c, out in steps:
         x = x[rows]
         sent = adjacency @ np.matmul(x, params.w_msg.T, out=scratch)
         if m is None:
@@ -544,8 +551,8 @@ def _run_rounds(params: ModelParams, adjacency: sp.csr_matrix, rows: slice, step
 def _degree_table(params: ModelParams, adjacency: sp.csr_matrix):
     """Round 1 once per distinct node degree of ``adjacency``.
 
-    Returns ``(row, table)``: ``table`` holds the round's message, z, r, c,
-    ``r * state`` and new state, one row per distinct degree in ascending
+    Returns ``(row, table)``: ``table`` holds the round's message, z, r, c
+    and new state, one row per distinct degree in ascending
     order, padded with degree-0 rows to at least ``PART_MIN_ROWS`` rows, and
     ``row[i]`` is the table row of node row i. Every node starts at e1, so
     every sent row is the same; the table's messages come from a "star"
@@ -572,7 +579,7 @@ def _degree_table(params: ModelParams, adjacency: sp.csr_matrix):
     m = star @ np.matmul(x0, params.w_msg.T, out=scratch)
     _gru_step(params.gru, x0, m, out, z, r, c, rs, scratch)
     row = np.cumsum(seen) - 1  # the table row of each degree
-    return row[degree], (m, z, r, c, rs, out)
+    return row[degree], (m, z, r, c, out)
 
 
 def forward_stack(
@@ -587,11 +594,13 @@ def forward_stack(
     Returns (estimates, cache); estimates has one entry per node (local) or
     per graph (global). cache is None when ``want_cache`` is false.
 
-    With a cache, one ``(rounds, 5, rows, H)`` block is allocated up front and
-    round t writes its z, r, c, ``r * state`` and new state into the views
-    ``block[t]``, so the cache's per-round lists hold views into that block;
-    the messages go into their own ``(rounds, rows, H)`` array. Without a
-    cache, two state buffers take turns and the gates are reused.
+    With a cache, one ``(rounds, 4, rows, H)`` block is allocated up front and
+    round t writes its z, r, c and new state into the views ``block[t]``, so
+    the cache's per-round lists hold views into that block; the messages go
+    into their own ``(rounds, rows, H)`` array, and every round writes
+    ``r * state``, which only its own candidate reads, into one reused
+    buffer. Without a cache, two state buffers take turns, the gates are
+    reused and ``r * state`` overwrites r.
 
     Every node starts at e1, so after round 1 a node's message, gates and
     state depend only on its degree (the first step of Weisfeiler-Lehman
@@ -624,14 +633,15 @@ def forward_stack(
     else:  # nothing reads it: the table gives round 1's state, round 2 writes here
         x0 = np.empty((stack.n_total, params.hidden_size))
     if want_cache:
-        block = np.empty((rounds, 5, *x0.shape))
+        block = np.empty((rounds, 4, *x0.shape))
         messages = np.empty((rounds, *x0.shape))
-        states = [x0, *block[:, 4]]
-        steps = [(states[t], messages[t], *block[t]) for t in range(rounds)]
+        reset_state = np.empty(x0.shape)
+        states = [x0, *block[:, 3]]
+        steps = [(states[t], reset_state, messages[t], *block[t]) for t in range(rounds)]
     else:
-        z, r, c, rs, spare = np.empty((5, *x0.shape))
+        z, r, c, spare = np.empty((4, *x0.shape))
         states = [x0, spare]
-        steps = [(states[t % 2], None, z, r, c, rs, states[1 - t % 2])
+        steps = [(states[t % 2], r, None, z, r, c, states[1 - t % 2])
                  for t in range(rounds)]
     x = steps[-1][-1]
 
@@ -639,8 +649,8 @@ def forward_stack(
     with np.errstate(over="ignore"):
         if use_table:
             row, table = _degree_table(params, stack.adjacency)
-            # message, z, r, c, r * state and new state with a cache, else the state
-            kept = zip(table, steps[0][1:]) if want_cache else [(table[-1], steps[0][-1])]
+            # message, z, r, c and new state with a cache, else the state
+            kept = zip(table, steps[0][2:]) if want_cache else [(table[-1], steps[0][-1])]
             for src, dst in kept:  # under the default mode, take buffers its output
                 np.take(src, row, axis=0, out=dst, mode="clip")
             steps = steps[1:]
@@ -674,7 +684,6 @@ def forward_stack(
         update_gates=list(block[:, 0]),
         reset_gates=list(block[:, 1]),
         candidates=list(block[:, 2]),
-        reset_states=list(block[:, 3]),
         readout_input=readout_input,
         readout_preact=preact,
         readout_hidden=hidden,
@@ -729,9 +738,12 @@ def _reverse_rounds(params: ModelParams, cache: ForwardCache, adjacency: sp.csr_
     ``adjacency`` is the part's diagonal block and ``dx`` the gradient of its
     rows of the last state. Round t writes its rows of the gate-input
     gradients d_az, d_ar, d_ac and of the sent messages' gradient into the
-    whole-stack ``(4, rows, H)`` buffer ``d_blocks[t % 2]``, works out the
-    state gradient round t - 1 starts from, and yields. Every gradient the
-    chain makes is row-local, so two parts may run at the same time.
+    whole-stack ``(4, rows, H)`` buffer ``d_blocks[t % 2]``, overwrites
+    ``dx`` with the state gradient round t - 1 starts from, and yields. Each
+    product the chain adds, and ``d_ac @ u_c``, goes into one buffer of the
+    part's rows, and ``d_sent``'s rows hold the round's other temporaries
+    until the round writes them. Every gradient the chain makes is
+    row-local, so two parts may run at the same time.
     """
     # each matrix W as the transpose of a C-contiguous copy of W.T: products
     # by it run BLAS's NT kernel, as the forward pass's do (see PART_MIN_ROWS)
@@ -739,6 +751,7 @@ def _reverse_rounds(params: ModelParams, cache: ForwardCache, adjacency: sp.csr_
     w_msg, u_c, w_c, w_r, w_z, u_r, u_z = (
         np.ascontiguousarray(w.T).T
         for w in (params.w_msg, gru.u_c, gru.w_c, gru.w_r, gru.w_z, gru.u_r, gru.u_z))
+    product = np.empty(dx.shape)
     for t in range(cache.rounds - 1, -1, -1):
         x_prev = cache.states[t][rows]
         z = cache.update_gates[t][rows]
@@ -749,36 +762,41 @@ def _reverse_rounds(params: ModelParams, cache: ForwardCache, adjacency: sp.csr_
         d_az, d_ar, d_ac, d_sent = d_blocks[t % 2, :, rows]
         # 1 - z, the old state's share of the new one, waits in d_ar's buffer
         keep = np.subtract(1.0, z, out=d_ar)
-        np.multiply(dx, c - x_prev, out=d_az)
+        np.multiply(dx, np.subtract(c, x_prev, out=d_az), out=d_az)
         d_az *= z
         d_az *= keep
         np.multiply(dx, z, out=d_ac)
-        d_ac *= 1.0 - c * c
+        d_ac *= np.subtract(1.0, np.multiply(c, c, out=d_sent), out=d_sent)
         # nothing reads the initial state's gradient, which round t = 0 gives
-        dx_prev = dx * keep if t else None
+        if t:
+            dx *= keep
 
-        d_rs = d_ac @ u_c
+        d_rs = np.matmul(d_ac, u_c, out=product)
         np.multiply(d_rs, x_prev, out=d_ar)
         d_ar *= r
-        d_ar *= 1.0 - r
+        d_ar *= np.subtract(1.0, r, out=d_sent)
+        if t:
+            dx += np.multiply(d_rs, r, out=product)
+            dx += np.matmul(d_ar, u_r, out=product)
+            dx += np.matmul(d_az, u_z, out=product)
 
-        dm = d_ac @ w_c
-        dm += d_ar @ w_r
-        dm += d_az @ w_z
+        dm = np.matmul(d_ac, w_c, out=product)
+        dm += np.matmul(d_ar, w_r, out=d_sent)
+        dm += np.matmul(d_az, w_z, out=d_sent)
         # message aggregation is symmetric: transpose of adjacency is itself
         d_sent[...] = adjacency @ dm
         if t:
-            dx_prev += d_rs * r
-            dx_prev += d_ar @ u_r
-            dx_prev += d_az @ u_z
-            dx = dx_prev + d_sent @ w_msg
+            dx += np.matmul(d_sent, w_msg, out=product)
         yield
 
 
-def _reverse_step(sums, chain) -> None:
-    """One thread's share of a reverse round: the weight sums ``(acc,
+def _reverse_step(sums, chain, reset=None) -> None:
+    """One thread's share of a reverse round: ``r * state`` into ``out``
+    for ``reset = (r, state, out)``, if given, then the weight sums ``(acc,
     terms)`` it was handed, if any, then the next round of ``chain``, if
     any is left."""
+    if reset is not None:
+        np.multiply(*reset)
     if sums is not None:
         _weight_sums(*sums)
     if chain is not None:
@@ -803,7 +821,10 @@ def backward_stack(
     and join on the part worker, under the caller's ``np.errstate``: the
     caller adds the ``w_msg``..``w_c`` sums (the readout's, in the first
     step) and runs its part's chain, the worker adds the ``u_z``..``b_c``
-    sums and runs the second part's chain. The chains write round t into the
+    sums and runs the second part's chain. The ``u_c`` sum reads round t's
+    ``r * state``, which the cache does not keep: the thread that adds that
+    sum first recomputes it, by the forward pass's multiply, into one buffer
+    it reuses every round. The chains write round t into the
     buffer ``t % 2``, which round t - 2 overwrites only after the join that
     ends round t's sums. Each sum is the whole-stack product a one-part pass
     makes, each span is added with one ``+=`` in round order, and each chain
@@ -840,11 +861,13 @@ def backward_stack(
 
     d_hidden = d_est[:, None] * ro.w2[None, :]
     d_preact = np.where(cache.readout_preact > 0.0, d_hidden, 0.0)
+    del d_hidden
     d_input = d_preact @ ro.w1
     if mode == "local":
         dx = d_input
     else:
         dx = np.repeat(d_input / stack.sizes[:, None], stack.sizes, axis=0)
+    del d_input
 
     parts = _row_parts(stack, params.hidden_size)
     blocks = ([stack.adjacency] if len(parts) == 1
@@ -853,28 +876,32 @@ def backward_stack(
     d_blocks = np.empty((2, 4, *dx.shape))
     chains = [_reverse_rounds(params, cache, block, rows, dx[rows], d_blocks)
               for block, rows in zip(blocks, parts)]
+    reset_state = np.empty(dx.shape)  # round t's r * state, the u_c sum's input
     # the sums the caller and the worker add first in a round: in the first,
     # the readout's w1, b1, w2 and b2 (a (rows, 1) column sums as the vector
     # does), then those of the round before
     sums = ((g_ro, ((d_preact, cache.readout_input), (d_preact, None),
                     (cache.readout_hidden, d_est), (d_est[:, None], None))), None)
+    del d_preact  # released with the first step's sums
+    reset = None
     for t in range(cache.rounds - 1, -2, -1):  # at t = -1 only round 0's sums are left
         if len(chains) == 1:
-            _reverse_step(sums[1], None)
+            _reverse_step(sums[1], None, reset)
             _reverse_step(sums[0], chains[0])
         else:
-            future = _submit(_reverse_step, sums[1], chains[1])
+            future = _submit(_reverse_step, sums[1], chains[1], reset)
             try:
                 _reverse_step(sums[0], chains[0])
             finally:
                 future.result()
         d_gates, d_sent = d_blocks[t % 2, :3], d_blocks[t % 2, 3]
         x_prev = cache.states[t]
+        reset = (cache.reset_gates[t], x_prev, reset_state)
         sums = (
             (g_head, ((d_sent, x_prev),                      # w_msg
                       (d_gates, cache.messages[t]))),        # w_z, w_r, w_c
             (g_tail, ((d_gates[:2], x_prev),                 # u_z, u_r
-                      (d_gates[2], cache.reset_states[t]),   # u_c
+                      (d_gates[2], reset_state),             # u_c
                       (d_gates, None))),                     # b_z, b_r, b_c
         )
     return loss, grad
@@ -892,9 +919,9 @@ def gru_update(params: ModelParams, states: np.ndarray, messages: np.ndarray) ->
     if states.shape != messages.shape or states.shape[-1] != params.hidden_size:
         raise ValueError("states and messages must both be (n, hidden_size)")
     new_states = np.empty(states.shape)
-    z, r, c, reset_state, scratch = np.empty((5, *states.shape))
+    z, r, c, scratch = np.empty((4, *states.shape))
     with np.errstate(over="ignore"):
-        _gru_step(params.gru, states, messages, new_states, z, r, c, reset_state, scratch)
+        _gru_step(params.gru, states, messages, new_states, z, r, c, r, scratch)
     return new_states
 
 
@@ -1003,11 +1030,11 @@ def _probe_losses(
     x = np.empty((k, *start.shape))
     x[...] = start
     scratch = np.empty(x.shape)
-    z, r, c, rs, spare = np.empty((5, *x.shape))
+    z, r, c, spare = np.empty((4, *x.shape))
     for _ in range(rounds):
         np.matmul(x, _t(probe.w_msg), out=scratch)
         m = (stack.adjacency @ scratch.reshape(-1, h)).reshape(x.shape)
-        _gru_step(probe.gru, x, m, spare, z, r, c, rs, scratch)
+        _gru_step(probe.gru, x, m, spare, z, r, c, r, scratch)
         x, spare = spare, x
     if mode == "local":
         estimates, _, _ = _readout_rows(probe.readout_local, x)
@@ -1123,8 +1150,11 @@ def grad_check(
 
 def save_params(params: ModelParams, path, mode: str, rounds: int) -> None:
     """Write a versioned text checkpoint whose header names H, the readout
-    mode and T; %.17g keeps doubles bit-exact."""
+    mode and T; %.17g keeps doubles bit-exact. ``rounds`` must be an integer
+    >= 1, as ``load_params`` requires of the header's T."""
     _check_mode(mode)
+    if not isinstance(rounds, numbers.Integral) or rounds < 1:
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} H={params.hidden_size} "
              f"mode={mode} T={int(rounds)}"]
     for name, arr in param_tensors(params):

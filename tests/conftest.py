@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,6 +54,18 @@ def count_solver_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(spectral, "_solve", counting)
     return calls
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(result, peak)``: what ``fn(*args, **kwargs)`` returns and the peak
+    bytes tracemalloc traced while it ran, counted from the call's start."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def degree(g: Graph, v: int) -> int:

@@ -6,7 +6,6 @@ import os
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 from operator import attrgetter
 from unittest import mock
@@ -26,6 +25,7 @@ from conftest import (
     path_graph,
     permute,
     run_at_one_and_two_blas_threads,
+    traced_peak,
 )
 from fiedler import model
 from fiedler.cli import GRADCHECK_INSTANCES
@@ -399,16 +399,16 @@ def _forward_stack_allocating(params, stack, rounds, mode):
     states, per_round = [x], []
     for _ in range(rounds):
         m = stack.adjacency @ (x @ params.w_msg.T)
-        x, z, r, c, rs = _gru_step_allocating(params.gru, x, m)
-        per_round.append((m, z, r, c, rs))
+        x, z, r, c, _ = _gru_step_allocating(params.gru, x, m)
+        per_round.append((m, z, r, c))
         states.append(x)
     if mode == "local":
         readout_input, ro = x, params.readout_local
     else:
         readout_input, ro = model._segment_mean(x, stack), params.readout_global
     estimates, preact, hidden = model._readout_rows(ro, readout_input)
-    messages, z, r, c, rs = (list(arrays) for arrays in zip(*per_round))
-    return ForwardCache(mode, rounds, stack, states, messages, z, r, c, rs,
+    messages, z, r, c = (list(arrays) for arrays in zip(*per_round))
+    return ForwardCache(mode, rounds, stack, states, messages, z, r, c,
                         readout_input, preact, hidden, estimates)
 
 
@@ -441,7 +441,7 @@ def _backward_stack_allocating(params, cache, targets):
         dx_prev = dx * (1.0 - z)
         d_ac = dx * z * (1.0 - c * c)
         g_gru.w_c += d_ac.T @ m
-        g_gru.u_c += d_ac.T @ cache.reset_states[t]
+        g_gru.u_c += d_ac.T @ (r * x_prev)
         g_gru.b_c += d_ac.sum(axis=0)
         dm = d_ac @ gru.w_c
         d_rs = d_ac @ gru.u_c
@@ -471,8 +471,7 @@ def _perturbed_params(h, seed):
     return unflatten_params(vec, h)
 
 
-_CACHE_LISTS = ("states", "messages", "update_gates", "reset_gates",
-                "candidates", "reset_states")
+_CACHE_LISTS = ("states", "messages", "update_gates", "reset_gates", "candidates")
 _CACHE_ARRAYS = ("readout_input", "readout_preact", "readout_hidden", "estimates")
 
 
@@ -645,15 +644,41 @@ def test_forward_cache_rounds_are_views_into_one_block():
     p = init_params(6, seed=0)
     stack = build_stack(GraphArrays.of([path_graph(4), cycle_graph(5)]))
     _, cache = forward_stack(p, stack, 3, "local")
-    per_round = (cache.update_gates, cache.reset_gates, cache.candidates,
-                 cache.reset_states, cache.states[1:])
+    per_round = (cache.update_gates, cache.reset_gates, cache.candidates, cache.states[1:])
     block = cache.update_gates[0].base
-    assert block.shape == (3, 5, 9, 6)
+    assert block.shape == (3, 4, 9, 6)
     for slot, arrays in enumerate(per_round):
         for t, a in enumerate(arrays):
             assert a.base is block
             assert a.ctypes.data == block[t, slot].ctypes.data
     assert cache.states[0].base is not block
+
+
+def test_training_pass_caches_five_slabs_per_round():
+    """A 256-graph batch at H=32, T=8, local mode, run as two parts. The
+    cache keeps, per round, the state, message, z, r and c: five (rows, H)
+    slabs, plus the initial state; the reverse pass recomputes r * state.
+    Forward plus backward peaks (tracemalloc) below that cache, plus the
+    reverse pass's two (4, rows, H) gate-gradient buffers, plus 8 slabs: the
+    readout's cached preactivation and hidden layer, the readout gradient,
+    the reset state the u_c sum reads, the state gradient, the parts'
+    product buffers and sparse products (15.08 slabs over the cache in all)."""
+    cfg = GraphGenConfig(n_range=(9, 11), p_range=(0.2, 0.8), seed=41)
+    stack = build_stack(GraphArrays.of([generate_connected_graph(cfg, i) for i in range(256)]))
+    assert len(model._row_parts(stack, 32)) == 2
+    p = init_params(32, seed=41)
+    targets = np.linspace(0.2, 2.0, 256)
+    slab = stack.n_total * 32 * 8
+
+    def train_step():
+        _, cache = forward_stack(p, stack, 8, "local")
+        backward_stack(p, cache, targets)
+        return sum(a.nbytes for name in _CACHE_LISTS for a in getattr(cache, name))
+
+    train_step()  # the part worker starts outside the traced call
+    cache_bytes, peak = traced_peak(train_step)
+    assert cache_bytes == (5 * 8 + 1) * slab
+    assert peak < cache_bytes + 2 * 4 * slab + 8 * slab
 
 
 def test_forward_cache_records_all_steps():
@@ -1599,12 +1624,7 @@ def test_grad_check_memory_stays_within_the_chunk_budget():
     interpreter free lists: nothing is kept per chunk."""
     g = rand_graph(5, 10, 10)
     p = init_params(32, seed=3)
-    tracemalloc.start()
-    try:
-        grad_check(p, g, 2, "local")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(grad_check, p, g, 2, "local")
     assert peak < model.GRADCHECK_CHUNK_BYTES + (1 << 20)
 
 
@@ -1786,6 +1806,19 @@ def test_save_params_bytes_match_per_value_reference(tmp_path):
         loaded, meta = load_params(path)
         assert flatten_params(loaded).tobytes() == vec.tobytes()
         assert meta == header
+
+
+@pytest.mark.parametrize("rounds", [0, -3, 2.7, 2.0, "2", None])
+def test_save_params_rejects_rounds_load_params_would_reject(tmp_path, rounds):
+    """The header's T must be an integer >= 1 for load_params to read the
+    file back, so save_params refuses any other rounds before it opens the
+    file."""
+    path = tmp_path / "ckpt.txt"
+    with pytest.raises(ValueError, match="rounds must be an integer >= 1"):
+        save_params(init_params(4, seed=0), path, mode="local", rounds=rounds)
+    assert not path.exists()
+    save_params(init_params(4, seed=0), path, mode="local", rounds=np.int64(2))
+    assert load_params(path)[1]["T"] == "2"
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):

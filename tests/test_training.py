@@ -1,5 +1,4 @@
 import threading
-import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import build_stack_int64_keys, complete_graph, metrics_from_csv_text
+from conftest import build_stack_int64_keys, complete_graph, metrics_from_csv_text, traced_peak
 from fiedler import model
 from fiedler.data import Dataset, generate_dataset
 from fiedler.graphs import GraphGenConfig, generate_connected_graph, generate_graph_arrays
@@ -390,7 +389,7 @@ def test_divergence_in_split_batches_aborts_with_diagnostic():
 def test_train_keeps_one_forward_cache_alive():
     """A batch's cache is released before the next batch's forward pass, so a
     two-batch epoch peaks below the bytes of two caches (T=8, H=32, 128 graphs
-    of 10 nodes per batch: one cache is about 15 MiB)."""
+    of 10 nodes per batch: one cache is about 12.8 MiB)."""
     cfg = GraphGenConfig(n_range=(10, 10), p_range=(0.3, 0.7), seed=601)
     train_ds = generate_dataset(cfg, 256)
     val_ds = generate_dataset(replace(cfg, seed=602), 8)
@@ -400,17 +399,11 @@ def test_train_keeps_one_forward_cache_alive():
     _, cache = forward_stack(init_params(32, 4), stack, 8, "local")
     cache_bytes = sum(
         a.nbytes
-        for name in ("states", "messages", "update_gates", "reset_gates",
-                     "candidates", "reset_states")
+        for name in ("states", "messages", "update_gates", "reset_gates", "candidates")
         for a in getattr(cache, name)
     )
     del cache
-    tracemalloc.start()
-    try:
-        train(config, train_ds, val_ds)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(train, config, train_ds, val_ds)
     assert peak < 2 * cache_bytes
 
 
